@@ -1,5 +1,5 @@
-"""Shared quadrature engines: composite Gauss-Legendre with panel doubling
-and tanh-sinh for endpoint-singular or half-line oscillatory integrands."""
+"""Composite Gauss-Legendre quadrature with panel doubling, the engine behind
+the integral representations in `coherent`."""
 
 from __future__ import annotations
 
@@ -35,49 +35,3 @@ def gauss_legendre_panels(f, a, b, panels=8, nodes=64, max_doublings=6, rtol=1e-
         if err <= rtol * max(1.0, abs(cur)):
             break
     return prev, err
-
-
-def tanh_sinh_nodes(level=7, cutoff=6.5):
-    """Node/weight pairs for the tanh-sinh rule on (-1, 1).
-
-    x = tanh(pi/2 sinh t), dx = (pi/2) cosh t / cosh^2(pi/2 sinh t) dt.
-    """
-    h = cutoff / (2 ** level)
-    t = np.arange(-2 ** level, 2 ** level + 1) * h
-    st = np.pi / 2.0 * np.sinh(t)
-    x = np.tanh(st)
-    # sech^2(st) written via exp to avoid overflow of cosh^2 at large |st|
-    sech2 = 4.0 * np.exp(-2.0 * np.abs(st)) / (1.0 + np.exp(-2.0 * np.abs(st))) ** 2
-    w = h * (np.pi / 2.0) * np.cosh(t) * sech2
-    # nodes whose image would round onto an endpoint are dropped
-    keep = (1.0 - np.abs(x) > 4e-16) & (w > 0.0)
-    return x[keep], w[keep]
-
-
-def tanh_sinh(f, a, b, level=7):
-    """Tanh-sinh quadrature of f on the finite interval (a, b).
-
-    Robust against integrable endpoint singularities; f takes arrays.
-    Returns (value, error_estimate) where the estimate compares the two
-    finest levels.
-    """
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-
-    def run(lv):
-        x, w = tanh_sinh_nodes(level=lv)
-        return half * np.sum(w * np.asarray(f(mid + half * x)))
-
-    coarse = run(level - 1)
-    fine = run(level)
-    return fine, abs(fine - coarse)
-
-
-def half_line_decaying(f, scale=1.0, level=7):
-    """Integrate f over (0, inf) for integrands decaying at least
-    exponentially on the scale `scale`: maps u in (0,1) via t = -scale*log(u).
-    """
-    def g(u):
-        t = -scale * np.log(u)
-        return f(t) * (scale / u)
-
-    return tanh_sinh(g, 0.0, 1.0, level=level)

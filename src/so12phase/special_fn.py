@@ -1,19 +1,20 @@
 """Special-function kernel.
 
-Every transcendental function needed by the closed-form expressions in the
-rest of the library lives here: modified Bessel functions with explicit
-series/asymptotic branches, the lowest hypergeometric kernels, Lerch's
-transcendent, the error function for complex argument, classical orthogonal
-polynomials, and the large-x expansion of sum_n x^n / (n! (n+a)^s).
+The transcendental functions behind the closed-form moments and overlaps in
+`coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` for large real
+w), the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its small- and
+large-x forms), and the log rising factorial (`log_pochhammer`).
 
-All series are summed with Kahan compensation and stop when a term falls
-below 1e-16 of the partial sum (or after 10^4 terms); the reported error
-estimate is the magnitude of the first omitted term.
+Series are summed with Kahan compensation and stop when a term falls below
+1e-16 of the partial sum (or after 10^4 terms).  The reported error estimate
+is the magnitude of the last term summed plus 2^-52 sum_n n |t_n|, n counting
+from 1: the first part bounds the truncation, the second the rounding, which
+dominates wherever the terms cancel (negative or complex w).  Term n is built
+by n - 1 rounded recurrence steps, so its rounding grows with n.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,13 +22,11 @@ import numpy as np
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 10_000
-BESSEL_SWITCH = 30.0  # series below, asymptotic expansion above
-EULER_GAMMA = 0.5772156649015328606
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value plus a truncation-error bound and the number of terms used."""
+    """Value plus an absolute error estimate and the number of terms used."""
 
     value: complex
     abs_error_estimate: float
@@ -46,12 +45,14 @@ def _kahan_sum(terms):
     """Kahan-compensated sum of a term iterator.
 
     The iterator yields successive series terms; summation stops by the
-    module-wide rule.  Returns (value, first_omitted_magnitude, n_terms).
+    module-wide rule.  Returns (value, error_estimate, n_terms), the estimate
+    being the last term's magnitude plus 2^-52 sum_n n |t_n|.
     """
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     n = 0
     last = 0.0
+    mass = 0.0
     for t in terms:
         n += 1
         y = t - comp
@@ -59,28 +60,12 @@ def _kahan_sum(terms):
         comp = (s - total) - y
         total = s
         last = abs(t)
+        mass += n * last
         if n >= 2 and last <= SERIES_RTOL * max(abs(total), 1e-300):
             break
         if n >= SERIES_MAX_TERMS:
             break
-    return total, last, n
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial a(a+1)...(a+n-1); n = 0 gives 1.
-
-    Overflow is signalled with OverflowError; use log_pochhammer then.
-    """
-    if a <= 0:
-        raise DomainError("pochhammer requires a > 0")
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
-    out = 1.0
-    for j in range(n):
-        out *= a + j
-        if math.isinf(out):
-            raise OverflowError("pochhammer overflow; use log_pochhammer")
-    return out
+    return total, last + 2.0 ** -52 * mass, n
 
 
 def log_pochhammer(a: float, n: int) -> float:
@@ -88,115 +73,6 @@ def log_pochhammer(a: float, n: int) -> float:
     if a <= 0:
         raise DomainError("log_pochhammer requires a > 0")
     return math.lgamma(a + n) - math.lgamma(a)
-
-
-def _bessel_asymptotic_terms(nu: float, x: float, signs: int):
-    """Terms of the large-x expansion e^{+-x}/sqrt(2 pi x) sum_k c_k / x^k.
-
-    signs=-1 alternates (I branch), signs=+1 keeps them positive (K branch).
-    Truncated adaptively where the terms stop decreasing.
-    """
-    mu = 4.0 * nu * nu
-    coeff = 1.0
-    term = 1.0
-    out = [term]
-    k = 0
-    while True:
-        coeff *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
-        k += 1
-        nxt = (signs ** k) * coeff / x ** k
-        if abs(nxt) >= abs(term) or k > 4 * x:
-            break
-        out.append(nxt)
-        term = nxt
-        if abs(nxt) < 1e-18:
-            break
-    return out
-
-
-def bessel_i(nu: float, x: float) -> EvalResult:
-    """Modified Bessel function of the first kind I_nu(x), x >= 0, nu >= 0."""
-    if x < 0 or nu < 0:
-        raise DomainError("bessel_i requires x >= 0 and nu >= 0")
-    if x == 0.0:
-        return EvalResult(1.0 if nu == 0 else 0.0, 0.0, 1)
-    if x <= BESSEL_SWITCH:
-        q = 0.25 * x * x
-        t0 = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-
-        def terms():
-            t = t0
-            n = 0
-            while True:
-                yield t
-                t *= q / ((n + 1.0) * (nu + n + 1.0))
-                n += 1
-
-        val, tail, n = _kahan_sum(terms())
-        return EvalResult(val.real, tail, n)
-    # asymptotic branch
-    ts = _bessel_asymptotic_terms(nu, x, signs=-1)
-    pref = math.exp(x) / math.sqrt(2.0 * math.pi * x)
-    val = pref * math.fsum(ts)
-    err = pref * abs(ts[-1]) * max(1.0, abs(4 * nu * nu - (2 * len(ts) - 1) ** 2) / (8.0 * len(ts) * x))
-    return EvalResult(val, err, len(ts))
-
-
-def _bessel_k_quadrature(nu: float, xs: np.ndarray) -> np.ndarray:
-    """K_nu on an array of moderate arguments via the cosh integral
-    representation, composite Gauss-Legendre in t with fixed panels."""
-    xmin = float(np.min(xs))
-    arg = max(770.0 / xmin, 2.0)
-    tmax = math.acosh(arg)
-    tmax = math.acosh(max((770.0 + nu * tmax) / xmin, 2.0))
-    n_panels = max(6, int(math.ceil(tmax / 1.5)))
-    gx, gw = np.polynomial.legendre.leggauss(64)
-    edges = np.linspace(0.0, tmax, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    # exponent is clipped: anything below -745 underflows to zero anyway
-    expo = -np.outer(xs, np.cosh(t))
-    np.clip(expo, -745.0, None, out=expo)
-    integ = np.exp(expo) * np.cosh(nu * t)[None, :]
-    return integ @ w
-
-
-def bessel_k(nu: float, x: float) -> EvalResult:
-    """Modified Bessel function of the third kind K_nu(x), x > 0."""
-    if x <= 0:
-        raise DomainError("bessel_k requires x > 0")
-    nu = abs(nu)
-    if x >= BESSEL_SWITCH:
-        ts = _bessel_asymptotic_terms(nu, x, signs=+1)
-        pref = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
-        val = pref * math.fsum(ts)
-        return EvalResult(val, pref * abs(ts[-1]), len(ts))
-    val = float(_bessel_k_quadrature(nu, np.array([x]))[0])
-    return EvalResult(val, 1e-13 * abs(val), 1)
-
-
-def bessel_k_grid(nu: float, xs) -> np.ndarray:
-    """Vectorised K_nu over an array of positive arguments (quadrature use)."""
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise DomainError("bessel_k_grid requires x > 0")
-    out = np.empty_like(xs)
-    lo = xs < BESSEL_SWITCH
-    if np.any(lo):
-        out[lo] = _bessel_k_quadrature(nu, xs[lo])
-    if np.any(~lo):
-        out[~lo] = [bessel_k(nu, x).value for x in xs[~lo]]
-    return out
-
-
-def bessel_k_small_x(nu: float, x: float) -> float:
-    """Leading small-x behaviour: Gamma(nu)/2 (x/2)^-nu, or the log form
-    -(gamma + log(x/2)) at nu = 0."""
-    if nu == 0:
-        return -(EULER_GAMMA + math.log(0.5 * x))
-    return 0.5 * math.gamma(nu) * (0.5 * x) ** (-nu)
 
 
 def g_k(k: float, w) -> EvalResult:
@@ -222,10 +98,10 @@ def g_k(k: float, w) -> EvalResult:
             t *= w / ((2.0 * k + n) * (n + 1.0))
             n += 1
 
-    val, tail, n = _kahan_sum(terms())
+    val, err, n = _kahan_sum(terms())
     if w.imag == 0.0:
-        return EvalResult(val.real, tail, n)
-    return EvalResult(val, tail, n)
+        return EvalResult(val.real, err, n)
+    return EvalResult(val, err, n)
 
 
 def log_g_k(k: float, w: float) -> float:
@@ -295,230 +171,3 @@ def rho_k_asymptotic(k: float, x: float, order: int = 2) -> float:
 def rho_k_small_x(k: float, x: float) -> float:
     """Small-x behaviour (x/2k)(1 - x^2/(2k(2k+1)))."""
     return x / (2.0 * k) * (1.0 - x * x / (2.0 * k * (2.0 * k + 1.0)))
-
-
-def confluent_1f1(a, c: float, z) -> EvalResult:
-    """Kummer's function Phi(a, c; z), regular at the origin, Phi(a,c;0)=1."""
-    if c <= 0 and float(c).is_integer():
-        raise DomainError("confluent_1f1 requires c not a non-positive integer")
-    a = complex(a)
-    z = complex(z)
-
-    def terms():
-        t = 1.0 + 0.0j
-        n = 0
-        while True:
-            yield t
-            t *= (a + n) * z / ((c + n) * (n + 1.0))
-            n += 1
-
-    val, tail, n = _kahan_sum(terms())
-    return EvalResult(val, tail, n)
-
-
-def lerch_phi(z, s: float, a: float) -> EvalResult:
-    """Lerch transcendent sum_n z^n / (a+n)^s.
-
-    Inside the unit disc the series is summed directly; on the boundary the
-    value comes from the integral representation
-    (1/Gamma(s)) int_0^1 (-log u)^{s-1} u^{a-1} / (1 - z u) du
-    evaluated with tanh-sinh quadrature (both endpoint singularities are
-    integrable on the allowed domain).
-    """
-    from .quadrature import tanh_sinh
-
-    if a <= 0 or s <= 0:
-        raise DomainError("lerch_phi requires s > 0 and a > 0")
-    z = complex(z)
-    r = abs(z)
-    if r > 1.0 + 1e-12:
-        raise DomainError("lerch_phi requires |z| <= 1")
-    if abs(z - 1.0) < 1e-12 and s <= 1.0:
-        raise DomainError("lerch_phi diverges at z = 1 for s <= 1")
-    if r < 0.995:
-
-        def terms():
-            n = 0
-            p = 1.0 + 0.0j
-            while True:
-                yield p / (a + n) ** s
-                p *= z
-                n += 1
-
-        val, tail, n = _kahan_sum(terms())
-        return EvalResult(val, tail, n)
-
-    if z == 1.0:
-        return EvalResult(_hurwitz_zeta(s, a), 1e-14, 1)
-
-    def low(u):
-        u = np.asarray(u)
-        return (-np.log(u)) ** (s - 1.0) * u ** (a - 1.0) / (1.0 - z * u)
-
-    def high(v):
-        # u = exp(-v^2) maps (0, sqrt(log 2)] onto [1/2, 1) and removes the
-        # (-log u)^{s-1} endpoint singularity; expm1 keeps the denominator
-        # exact when z is at or near 1
-        v = np.asarray(v)
-        denom = (1.0 - z) - z * np.expm1(-v * v)
-        return 2.0 * v ** (2.0 * s - 1.0) * np.exp(-a * v * v) / denom
-
-    v1, e1 = tanh_sinh(low, 0.0, 0.5, level=9)
-    v2, e2 = tanh_sinh(high, 0.0, math.sqrt(math.log(2.0)), level=9)
-    val = (v1 + v2) / math.gamma(s)
-    return EvalResult(val, (abs(e1) + abs(e2)) / math.gamma(s), 1)
-
-
-_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
-
-
-def _hurwitz_zeta(s: float, a: float, n_direct: int = 24) -> float:
-    """Hurwitz zeta for s > 1, a > 0 by Euler-Maclaurin tail acceleration."""
-    head = math.fsum((a + n) ** (-s) for n in range(n_direct))
-    m = a + n_direct
-    tail = m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
-    poch = s
-    fact = m ** (-s - 1.0)
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        tail += b2j / math.factorial(2 * j) * poch * fact
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        fact /= m * m
-    return head + tail
-
-
-def polylog(s: float, z) -> EvalResult:
-    """Li_s(z) = z * lerch_phi(z, s, 1)."""
-    res = lerch_phi(z, s, 1.0)
-    return EvalResult(z * res.value, abs(z) * res.abs_error_estimate, res.terms_used)
-
-
-def _erfc_cfrac(w: complex, depth: int = 120) -> complex:
-    """Laplace continued fraction for erfc, valid for Re(w) > 0."""
-    f = w
-    for m in range(depth, 0, -1):
-        f = w + 0.5 * m / f
-    return cmath.exp(-w * w) / (math.sqrt(math.pi) * f)
-
-
-def erf(w) -> complex:
-    """Error function for complex argument.
-
-    Maclaurin series while |Re w| <= 2.4 (its cancellation grows like
-    exp(2 Re(w)^2) and is harmless there for any imaginary part); the
-    Laplace continued fraction for erfc beyond.  Odd under w -> -w and
-    purely imaginary on the imaginary axis.
-    """
-    w = complex(w)
-    if w == 0:
-        return 0.0 + 0.0j
-    if abs(w.real) <= 2.4 and abs(w) < 26.0:
-
-        def terms():
-            t = w
-            n = 0
-            while True:
-                yield t
-                t *= -w * w * (2 * n + 1) / ((n + 1.0) * (2 * n + 3))
-                n += 1
-
-        val, _, _ = _kahan_sum(terms())
-        out = 2.0 / math.sqrt(math.pi) * val
-    else:
-        if w.real < 0:
-            return -erf(-w)
-        out = 1.0 - _erfc_cfrac(w)
-    if abs(w.imag) == 0.0:
-        out = complex(out.real, 0.0)
-    if abs(w.real) == 0.0:
-        out = complex(0.0, out.imag)
-    return out
-
-
-def erfc(w) -> complex:
-    """Complementary error function, 1 - erf(w)."""
-    return 1.0 - erf(w)
-
-
-_ORTHOPOLY_KINDS = ("hermite", "laguerre", "laguerre_assoc", "gegenbauer")
-
-
-def orthopoly(kind: str, n: int, parameter: float, x: float) -> float:
-    """Classical orthogonal polynomial value by its three-term recurrence.
-
-    kind is one of hermite | laguerre | laguerre_assoc | gegenbauer; the
-    parameter is the Laguerre alpha (> -1) or the Gegenbauer index (> 0) and
-    is ignored for the first two kinds.
-    """
-    if kind not in _ORTHOPOLY_KINDS:
-        raise DomainError(f"unknown orthopoly kind {kind!r}")
-    if n < 0:
-        raise DomainError("orthopoly requires n >= 0")
-    if kind == "laguerre_assoc" and parameter <= -1:
-        raise DomainError("associated Laguerre requires parameter > -1")
-    if kind == "gegenbauer" and parameter <= 0:
-        raise DomainError("Gegenbauer requires parameter > 0")
-    if kind == "hermite":
-        p0, p1 = 1.0, 2.0 * x
-        step = lambda m, a, b: 2.0 * x * b - 2.0 * m * a
-    elif kind == "laguerre":
-        p0, p1 = 1.0, 1.0 - x
-        step = lambda m, a, b: ((2 * m + 1.0 - x) * b - m * a) / (m + 1.0)
-    elif kind == "laguerre_assoc":
-        al = parameter
-        p0, p1 = 1.0, 1.0 + al - x
-        step = lambda m, a, b: ((2 * m + 1.0 + al - x) * b - (m + al) * a) / (m + 1.0)
-    else:
-        lam = parameter
-        p0, p1 = 1.0, 2.0 * lam * x
-        step = lambda m, a, b: (2.0 * (m + lam) * x * b - (m + 2 * lam - 1.0) * a) / (m + 1.0)
-    if n == 0:
-        return p0
-    if n == 1:
-        return p1
-    for m in range(1, n):
-        p0, p1 = p1, step(m, p0, p1)
-    return p1
-
-
-def stirling_psi(j: int, y: float) -> float:
-    """Stirling polynomials psi_0 = 1/2, psi_1 = (3y+2)/24, psi_2 = y(y+1)/48."""
-    if j == 0:
-        return 0.5
-    if j == 1:
-        return (3.0 * y + 2.0) / 24.0
-    if j == 2:
-        return y * (y + 1.0) / 48.0
-    raise DomainError("stirling_psi implemented for j <= 2")
-
-
-def barnes_coefficients(a: float, s: float) -> tuple[float, float, float]:
-    """Coefficients c_0, c_1, c_2 of the Taylor expansion of
-    (1-u)^{a-1} [-(1/u) log(1-u)]^{s-1} at u = 0."""
-    c0 = 1.0
-    c1 = 0.5 * (s + 1.0) - a
-    c2 = 0.125 * (s - 1.0) * (s - 4.0 * a + 14.0 / 3.0) + 0.5 * (a - 1.0) * (a - 2.0)
-    return c0, c1, c2
-
-
-def barnes_expansion(a: float, s: float, x: float, order: int = 2) -> EvalResult:
-    """Large-x value of F_{a,s}(x) = sum_n x^n / (n! (n+a)^s):
-
-        x^{-s} e^x / Gamma(s) * sum_{n<=order} c_n Gamma(s+n) / x^n.
-
-    Enforces x >= 10 so the asymptotic branch is meaningful.
-    """
-    if not (a > 0 and s > 0):
-        raise DomainError("barnes_expansion requires a > 0 and s > 0")
-    if x < 10.0:
-        raise DomainError("barnes_expansion requires x >= 10")
-    if order > 2:
-        raise DomainError("barnes_expansion implemented to order 2")
-    cs = barnes_coefficients(a, s)
-    pref = x ** (-s) * math.exp(x) / math.gamma(s)
-    acc = 0.0
-    last = 0.0
-    for n in range(order + 1):
-        last = cs[n] * math.gamma(s + n) / x ** n
-        acc += last
-    err = pref * abs(last if order > 0 else acc) * (s + order) / x
-    return EvalResult(pref * acc, err, order + 1)

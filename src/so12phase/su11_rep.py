@@ -78,16 +78,6 @@ class OperatorMatrix:
         return complex(np.vdot(vec, self.entries @ vec))
 
 
-@dataclass(frozen=True)
-class NumberState:
-    k: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-
-
 def build_generators(params: RepParams) -> dict:
     """K0, K+, K-, K1, K2 on the truncated basis.
 
@@ -129,9 +119,9 @@ def composite_ladder(params: RepParams) -> dict:
     N = K0 - k built inside the representation."""
     k, n_dim = params.k, params.cutoff
     g = build_generators(params)
-    dinv = np.diag(1.0 / np.sqrt(k + np.arange(n_dim) + k).astype(complex))
-    a = dinv @ g["Kminus"].entries
-    a_dag = g["Kplus"].entries @ dinv
+    dinv = 1.0 / np.sqrt(k + np.arange(n_dim) + k).astype(complex)
+    a = dinv[:, None] * g["Kminus"].entries
+    a_dag = g["Kplus"].entries * dinv[None, :]
     nop = g["K0"].entries - k * np.eye(n_dim)
     return {
         "a": OperatorMatrix(a),
@@ -206,9 +196,9 @@ def holstein_primakoff(params: RepParams) -> dict:
     via K+ = a+ sqrt(N+2k); entrywise equal to build_generators output."""
     k, n_dim = params.k, params.cutoff
     a, a_dag = oscillator_ladder(n_dim)
-    root = np.diag(np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex))
-    kplus = a_dag @ root
-    kminus = root @ a
+    root = np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex)
+    kplus = a_dag * root[None, :]
+    kminus = root[:, None] * a
     k0 = np.diag((np.arange(n_dim) + k).astype(complex))
     return {
         "Kplus": OperatorMatrix(kplus),

@@ -1,5 +1,6 @@
 """Special-function kernel against brute-force and closed-form oracles."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -11,98 +12,14 @@ from hypothesis import strategies as st
 from so12phase import special_fn as sf
 
 
-def brute_bessel_i(nu, x, terms=400):
-    """Oracle: extended-precision truncation of the defining power series."""
-    with mp.workdps(60):
-        acc = mp.mpf(0)
-        for n in range(terms):
-            acc += mp.power(mp.mpf(x) / 2, nu + 2 * n) / (mp.factorial(n) * mp.gamma(nu + n + 1))
-        return float(acc)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert sf.pochhammer(1.0, 0) == 1.0
-
-    def test_factorial(self):
-        assert sf.pochhammer(1.0, 3) == 6.0
-
-    def test_half_integer(self):
-        # direct product 0.5 * 1.5 * 2.5 * 3.5
-        assert sf.pochhammer(0.5, 4) == pytest.approx(6.5625, abs=0)
-
+class TestLogPochhammer:
     @given(st.floats(0.1, 20), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
-    def test_matches_gamma_ratio(self, a, n):
-        assert sf.pochhammer(a, n) == pytest.approx(
-            math.exp(sf.log_pochhammer(a, n)), rel=1e-10)
+    def test_matches_rising_factorial(self, a, n):
+        assert math.exp(sf.log_pochhammer(a, n)) == pytest.approx(float(mp.rf(a, n)), rel=1e-10)
 
-    def test_overflow_signalled(self):
-        with pytest.raises(OverflowError):
-            sf.pochhammer(50.0, 300)
+    def test_beyond_float_range(self):
         assert sf.log_pochhammer(50.0, 300) > 700
-
-
-class TestBesselI:
-    def test_series_leading_term(self):
-        assert sf.bessel_i(0, 0.0).value == 1.0
-
-    def test_prefactor_zero(self):
-        assert sf.bessel_i(1, 0.0).value == 0.0
-
-    def test_against_400_term_series(self):
-        # frozen from the 60-digit series oracle above
-        assert sf.bessel_i(0, 2.0).value == pytest.approx(2.2795853023360673, rel=1e-14)
-        assert sf.bessel_i(0, 2.0).value == pytest.approx(brute_bessel_i(0, 2.0), rel=1e-14)
-
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 5.0])
-    def test_branch_agreement_at_switch(self, nu):
-        lo = sf.bessel_i(nu, sf.BESSEL_SWITCH)          # series branch
-        hi = sf.bessel_i(nu, np.nextafter(sf.BESSEL_SWITCH, 100.0))
-        assert abs(hi.value - lo.value) <= 1e-8 * abs(lo.value)
-
-    @pytest.mark.parametrize("nu,x", [(0, 50.0), (1, 120.0), (3.3, 31.0)])
-    def test_asymptotic_branch(self, nu, x):
-        assert sf.bessel_i(nu, x).value == pytest.approx(float(mp.besseli(nu, x)), rel=1e-12)
-
-    def test_error_estimate_bounds_truth(self):
-        res = sf.bessel_i(1.5, 7.0)
-        assert abs(res.value - float(mp.besseli(1.5, 7.0))) <= max(res.abs_error_estimate, 1e-13 * res.value)
-        assert res.terms_used >= 1
-
-
-class TestBesselK:
-    def test_half_integer_closed_form(self):
-        # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
-        assert sf.bessel_k(0.5, 1.0).value == pytest.approx(
-            math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-12)
-
-    def test_log_divergence_at_origin(self):
-        for x in (1e-4, 1e-6):
-            assert sf.bessel_k(0, x).value == pytest.approx(
-                -(sf.EULER_GAMMA + math.log(x / 2.0)), rel=1e-4)
-        assert sf.bessel_k_small_x(0, 1e-6) == pytest.approx(
-            -(sf.EULER_GAMMA + math.log(5e-7)), rel=0)
-
-    def test_large_x_matches_quadrature_oracle(self):
-        # oracle: high-precision quadrature of the cosh integral representation
-        with mp.workdps(40):
-            ref = float(mp.quad(lambda t: mp.exp(-50 * mp.cosh(t)) * mp.cosh(t), [0, 10]))
-        assert sf.bessel_k(1, 50.0).value == pytest.approx(ref, rel=1e-10)
-
-    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.5])
-    def test_branch_agreement_at_switch(self, nu):
-        lo = sf.bessel_k(nu, sf.BESSEL_SWITCH * (1 - 1e-12))
-        hi = sf.bessel_k(nu, sf.BESSEL_SWITCH)
-        assert abs(hi.value - lo.value) <= 1e-8 * abs(lo.value)
-
-    def test_domain_error(self):
-        with pytest.raises(sf.DomainError):
-            sf.bessel_k(1.0, 0.0)
-
-    @pytest.mark.parametrize("nu,x", [(0, 0.3), (1, 4.0), (2, 12.0), (3.7, 0.05), (5, 29.0)])
-    def test_against_reference(self, nu, x):
-        assert sf.bessel_k(nu, x).value == pytest.approx(float(mp.besselk(nu, x)), rel=2e-12)
 
 
 class TestGk:
@@ -112,7 +29,7 @@ class TestGk:
 
     def test_reduces_to_bessel_i(self):
         # Gamma(2k)|z|^{1-2k} I_{2k-1}(2|z|) at 2k-1 = 0 is plain I_0
-        assert sf.g_k(0.5, 4.0).value == pytest.approx(sf.bessel_i(0, 4.0).value, rel=1e-13)
+        assert sf.g_k(0.5, 4.0).value == pytest.approx(float(mp.besseli(0, 4.0)), rel=1e-13)
 
     @staticmethod
     def _ode_residual(k, w, h):
@@ -142,6 +59,49 @@ class TestGk:
     def test_complex_argument(self):
         val = sf.g_k(1.0, 2.5j).value
         assert val == pytest.approx(complex(mp.hyp0f1(2.0, 2.5j)), rel=1e-13)
+
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_error_estimate_bounds_rounding(self, k):
+        # off the positive axis the terms cancel, and near the peak term the
+        # recurrence's rounding exceeds the last term by many orders
+        for modulus in (1.0, 5.0, 20.0, 50.0, 100.0, 300.0):
+            for w in (modulus ** 2, -modulus ** 2,
+                      modulus ** 2 * cmath.exp(0.5j), modulus ** 2 * cmath.exp(1.5j)):
+                res = sf.g_k(k, w)
+                with mp.workdps(60):
+                    ref = complex(mp.hyp0f1(2 * k, mp.mpc(w)))
+                assert abs(res.value - ref) <= res.abs_error_estimate, (k, w)
+
+
+K_GRID = (0.05, 0.25, 0.5, 1.0, 3.0, 10.0, 50.0)
+MODULUS_GRID = (1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 300.0, 1000.0)
+
+
+class TestKernelGrid:
+    """The kernels against mpmath over the parameter range the library uses."""
+
+    @pytest.mark.parametrize("k", K_GRID)
+    def test_log_g_k(self, k):
+        for m in MODULUS_GRID:
+            with mp.workdps(40):
+                ref = float(mp.log(mp.hyp0f1(2 * k, m * m)))
+            assert abs(sf.log_g_k(k, m * m) - ref) <= 1e-13 * max(1.0, abs(ref)), (k, m)
+
+    @pytest.mark.parametrize("k", K_GRID)
+    def test_rho_k(self, k):
+        for m in MODULUS_GRID:
+            with mp.workdps(40):
+                ref = float(mp.besseli(2 * k, 2 * m) / mp.besseli(2 * k - 1, 2 * m))
+            assert sf.rho_k(k, m) == pytest.approx(ref, rel=1e-13), (k, m)
+
+    @pytest.mark.parametrize("k", K_GRID)
+    def test_real_g_k(self, k):
+        for m in MODULUS_GRID:
+            if 2 * m > 600:
+                continue
+            with mp.workdps(40):
+                ref = float(mp.hyp0f1(2 * k, m * m))
+            assert sf.g_k(k, m * m).value == pytest.approx(ref, rel=1e-13), (k, m)
 
 
 class TestRhoK:
@@ -178,162 +138,3 @@ class TestRhoK:
 
     def test_small_x_form(self):
         assert sf.rho_k(0.75, 1e-3) == pytest.approx(sf.rho_k_small_x(0.75, 1e-3), rel=1e-9)
-
-
-class TestConfluent:
-    def test_normalization_at_origin(self):
-        assert sf.confluent_1f1(0.3 + 1j, 1.0, 0.0).value == 1.0 + 0j
-
-    def test_exponential_reduction(self):
-        for c in (0.5, 1.0, 3.2):
-            z = 0.7 - 0.4j
-            assert sf.confluent_1f1(c, c, z).value == pytest.approx(np.exp(z), rel=1e-13)
-
-    def test_brute_force_series(self):
-        a, c, z = 0.5 - 1j, 1.0, 2j
-        with mp.workdps(50):
-            ref = complex(mp.hyp1f1(mp.mpc(a), c, mp.mpc(z)))
-        assert sf.confluent_1f1(a, c, z).value == pytest.approx(ref, rel=1e-12)
-
-    def test_invalid_c(self):
-        with pytest.raises(sf.DomainError):
-            sf.confluent_1f1(1.0, -2.0, 1.0)
-
-
-class TestLerch:
-    def test_single_term(self):
-        assert sf.lerch_phi(0.0, 0.7, 2.5).value == pytest.approx(2.5 ** -0.7, rel=1e-15)
-
-    def test_interior_partial_sums(self):
-        res = sf.lerch_phi(0.5, 0.5, 1.0)
-        with mp.workdps(40):
-            ref = float(mp.lerchphi(0.5, 0.5, 1))
-        assert res.value == pytest.approx(ref, rel=1e-13)
-
-    def test_circle_log_identity(self):
-        th = 1.3
-        z = complex(math.cos(th), math.sin(th))
-        ref = -np.exp(-1j * th) * np.log(1 - z)
-        assert sf.lerch_phi(z, 1.0, 1.0).value == pytest.approx(ref, rel=1e-12)
-
-    def test_circle_fractional_s(self):
-        z = complex(math.cos(0.7), math.sin(0.7))
-        ref = complex(mp.lerchphi(mp.mpc(z), 0.5, 1))
-        assert sf.lerch_phi(z, 0.5, 1.0).value == pytest.approx(ref, rel=1e-12)
-
-    def test_divergent_rejected(self):
-        with pytest.raises(sf.DomainError):
-            sf.lerch_phi(1.0, 1.0, 1.0)
-        with pytest.raises(sf.DomainError):
-            sf.lerch_phi(1.2, 2.0, 1.0)
-
-    def test_polylog_alias(self):
-        assert sf.polylog(2.0, 0.5).value == pytest.approx(complex(mp.polylog(2, 0.5)), rel=1e-12)
-
-
-class TestErf:
-    def test_odd(self):
-        assert sf.erf(0.0) == 0.0
-        w = 1.3 - 0.4j
-        assert sf.erf(-w) == pytest.approx(-sf.erf(w), rel=1e-14)
-
-    def test_reference_value(self):
-        assert sf.erfc(1 / math.sqrt(2)).real == pytest.approx(0.31731, abs=5e-6)
-
-    def test_imaginary_axis(self):
-        val = sf.erf(0.5j)
-        assert val.real == 0.0
-        with mp.workdps(40):
-            ref = complex(mp.erf(mp.mpc(0.5j)))
-        assert val.imag == pytest.approx(ref.imag, rel=1e-13)
-
-    def test_complement_exact(self):
-        for w in (0.3, 2.0 + 1j, -1.5):
-            assert sf.erf(w) + sf.erfc(w) == 1.0
-
-    @given(st.floats(-3.5, 3.5), st.floats(-3.5, 3.5))
-    @settings(max_examples=40, deadline=None)
-    def test_against_reference(self, x, y):
-        w = complex(x, y)
-        ref = complex(mp.erf(mp.mpc(w)))
-        assert sf.erf(w) == pytest.approx(ref, abs=1e-11 * max(1.0, abs(ref)))
-
-
-class TestOrthopoly:
-    def test_hermite_base_cases(self):
-        assert sf.orthopoly("hermite", 0, 0.0, 0.9) == 1.0
-        assert sf.orthopoly("hermite", 1, 0.0, 0.9) == 1.8
-
-    def test_laguerre_at_zero(self):
-        assert sf.orthopoly("laguerre", 2, 0.0, 0.0) == 1.0
-
-    def test_gegenbauer_generating_function(self):
-        # (1 - 2tx + x^2)^{-2k} = sum_n C_n^{2k}(t) x^n  (binomial-series oracle)
-        k, t, x = 1.0, 0.3, 0.4
-        direct = (1 - 2 * t * x + x * x) ** (-2 * k)
-        acc = sum(sf.orthopoly("gegenbauer", n, 2 * k, t) * x ** n for n in range(60))
-        assert acc == pytest.approx(direct, rel=1e-12)
-
-    def test_hermite_generating_function(self):
-        t, x = 0.21, 0.8
-        direct = math.exp(-t * t + 2 * t * x)
-        acc = sum(t ** n / math.factorial(n) * sf.orthopoly("hermite", n, 0.0, x)
-                  for n in range(40))
-        assert acc == pytest.approx(direct, rel=1e-12)
-
-    def test_laguerre_generating_function(self):
-        s, x = 0.35, 1.1
-        direct = math.exp(x * s / (s - 1)) / (1 - s)
-        acc = sum(s ** m * sf.orthopoly("laguerre", m, 0.0, x) for m in range(120))
-        assert acc == pytest.approx(direct, rel=1e-10)
-
-    def test_parameter_domains(self):
-        with pytest.raises(sf.DomainError):
-            sf.orthopoly("laguerre_assoc", 2, -1.5, 0.1)
-        with pytest.raises(sf.DomainError):
-            sf.orthopoly("gegenbauer", 2, 0.0, 0.1)
-
-
-class TestBarnesExpansion:
-    def test_c0(self):
-        assert sf.barnes_coefficients(1.7, 0.5)[0] == 1.0
-
-    def test_c1_symbolic(self):
-        for a, s in [(1.0, 0.5), (2.5, 1.0), (0.3, 2.0)]:
-            assert sf.barnes_coefficients(a, s)[1] == 0.5 * (s + 1.0) - a
-
-    def test_stirling_polynomials(self):
-        assert sf.stirling_psi(0, -3.2) == 0.5
-        assert sf.stirling_psi(1, 2.0) == (3 * 2.0 + 2) / 24
-        assert sf.stirling_psi(2, 3.0) == 3.0 * 4.0 / 48
-
-    @staticmethod
-    def _series_200(a, s, x):
-        term, acc = 1.0, 0.0
-        for n in range(200):
-            acc += term / (n + a) ** s
-            term *= x / (n + 1.0)
-        return acc
-
-    def test_within_one_percent_of_series(self):
-        a, s, x = 1.0, 0.5, 25.0
-        assert sf.barnes_expansion(a, s, x).value == pytest.approx(
-            self._series_200(a, s, x), rel=1e-2)
-
-    def test_residual_decays_like_x_cubed(self):
-        a, s = 1.0, 0.5
-        xs = [15.0, 30.0, 60.0]
-        resid = []
-        for x in xs:
-            with mp.workdps(50):
-                direct = float(mp.nsum(
-                    lambda n: mp.power(x, n) / (mp.factorial(n) * mp.power(n + a, s)),
-                    [0, mp.inf]))
-            lead = x ** (-s) * math.exp(x) / math.gamma(s)
-            resid.append(abs(sf.barnes_expansion(a, s, x).value - direct) / lead)
-        slope = np.polyfit(np.log(xs), np.log(resid), 1)[0]
-        assert slope == pytest.approx(-3.0, abs=0.35)
-
-    def test_threshold(self):
-        with pytest.raises(sf.DomainError):
-            sf.barnes_expansion(1.0, 0.5, 5.0)
