@@ -3,7 +3,10 @@
 The transcendental functions behind the closed-form moments and overlaps in
 `coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` for large real
 w), the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its small- and
-large-x forms), and the log rising factorial (`log_pochhammer`).
+large-x forms), and the log rising factorial (`log_pochhammer`).  Beside
+them sit the rising factorial itself (`pochhammer`), the modified Bessel
+functions I_nu and K_nu with explicit series/asymptotic branches, and
+Kummer's 1F1 (`confluent_1f1`); the library does not call these.
 
 Series are summed with Kahan compensation and stop when a term falls below
 1e-16 of the partial sum (or after 10^4 terms).  The reported error estimate
@@ -22,6 +25,8 @@ import numpy as np
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 10_000
+BESSEL_SWITCH = 30.0  # series below, asymptotic expansion above
+EULER_GAMMA = 0.5772156649015328606
 
 
 @dataclass(frozen=True)
@@ -68,11 +73,123 @@ def _kahan_sum(terms):
     return total, last + 2.0 ** -52 * mass, n
 
 
+def pochhammer(a: float, n: int) -> float:
+    """Rising factorial a(a+1)...(a+n-1); n = 0 gives 1.
+
+    Overflow is signalled with OverflowError; use log_pochhammer then.
+    """
+    if a <= 0:
+        raise DomainError("pochhammer requires a > 0")
+    if n < 0:
+        raise DomainError("pochhammer requires n >= 0")
+    out = 1.0
+    for j in range(n):
+        out *= a + j
+        if math.isinf(out):
+            raise OverflowError("pochhammer overflow; use log_pochhammer")
+    return out
+
+
 def log_pochhammer(a: float, n: int) -> float:
     """log of the rising factorial, via lgamma(a+n) - lgamma(a)."""
     if a <= 0:
         raise DomainError("log_pochhammer requires a > 0")
     return math.lgamma(a + n) - math.lgamma(a)
+
+
+def _bessel_asymptotic_terms(nu: float, x: float, signs: int):
+    """Terms of the large-x expansion e^{+-x}/sqrt(2 pi x) sum_k c_k / x^k.
+
+    signs=-1 alternates (I branch), signs=+1 keeps them positive (K branch).
+    Truncated adaptively where the terms stop decreasing.
+    """
+    mu = 4.0 * nu * nu
+    coeff = 1.0
+    term = 1.0
+    out = [term]
+    k = 0
+    while True:
+        coeff *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+        k += 1
+        nxt = (signs ** k) * coeff / x ** k
+        if abs(nxt) >= abs(term) or k > 4 * x:
+            break
+        out.append(nxt)
+        term = nxt
+        if abs(nxt) < 1e-18:
+            break
+    return out
+
+
+def bessel_i(nu: float, x: float) -> EvalResult:
+    """Modified Bessel function of the first kind I_nu(x), x >= 0, nu >= 0."""
+    if x < 0 or nu < 0:
+        raise DomainError("bessel_i requires x >= 0 and nu >= 0")
+    if x == 0.0:
+        return EvalResult(1.0 if nu == 0 else 0.0, 0.0, 1)
+    if x <= BESSEL_SWITCH:
+        q = 0.25 * x * x
+        t0 = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
+
+        def terms():
+            t = t0
+            n = 0
+            while True:
+                yield t
+                t *= q / ((n + 1.0) * (nu + n + 1.0))
+                n += 1
+
+        val, tail, n = _kahan_sum(terms())
+        return EvalResult(val.real, tail, n)
+    # asymptotic branch
+    ts = _bessel_asymptotic_terms(nu, x, signs=-1)
+    pref = math.exp(x) / math.sqrt(2.0 * math.pi * x)
+    val = pref * math.fsum(ts)
+    err = pref * abs(ts[-1]) * max(1.0, abs(4 * nu * nu - (2 * len(ts) - 1) ** 2) / (8.0 * len(ts) * x))
+    return EvalResult(val, err, len(ts))
+
+
+def _bessel_k_quadrature(nu: float, xs: np.ndarray) -> np.ndarray:
+    """K_nu on an array of moderate arguments via the cosh integral
+    representation, composite Gauss-Legendre in t with fixed panels."""
+    xmin = float(np.min(xs))
+    arg = max(770.0 / xmin, 2.0)
+    tmax = math.acosh(arg)
+    tmax = math.acosh(max((770.0 + nu * tmax) / xmin, 2.0))
+    n_panels = max(6, int(math.ceil(tmax / 1.5)))
+    gx, gw = np.polynomial.legendre.leggauss(64)
+    edges = np.linspace(0.0, tmax, n_panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    w = (half[:, None] * gw[None, :]).ravel()
+    # exponent is clipped: anything below -745 underflows to zero anyway
+    expo = -np.outer(xs, np.cosh(t))
+    np.clip(expo, -745.0, None, out=expo)
+    integ = np.exp(expo) * np.cosh(nu * t)[None, :]
+    return integ @ w
+
+
+def bessel_k(nu: float, x: float) -> EvalResult:
+    """Modified Bessel function of the third kind K_nu(x), x > 0."""
+    if x <= 0:
+        raise DomainError("bessel_k requires x > 0")
+    nu = abs(nu)
+    if x >= BESSEL_SWITCH:
+        ts = _bessel_asymptotic_terms(nu, x, signs=+1)
+        pref = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
+        val = pref * math.fsum(ts)
+        return EvalResult(val, pref * abs(ts[-1]), len(ts))
+    val = float(_bessel_k_quadrature(nu, np.array([x]))[0])
+    return EvalResult(val, 1e-13 * abs(val), 1)
+
+
+def bessel_k_small_x(nu: float, x: float) -> float:
+    """Leading small-x behaviour: Gamma(nu)/2 (x/2)^-nu, or the log form
+    -(gamma + log(x/2)) at nu = 0."""
+    if nu == 0:
+        return -(EULER_GAMMA + math.log(0.5 * x))
+    return 0.5 * math.gamma(nu) * (0.5 * x) ** (-nu)
 
 
 def g_k(k: float, w) -> EvalResult:
@@ -171,3 +288,22 @@ def rho_k_asymptotic(k: float, x: float, order: int = 2) -> float:
 def rho_k_small_x(k: float, x: float) -> float:
     """Small-x behaviour (x/2k)(1 - x^2/(2k(2k+1)))."""
     return x / (2.0 * k) * (1.0 - x * x / (2.0 * k * (2.0 * k + 1.0)))
+
+
+def confluent_1f1(a, c: float, z) -> EvalResult:
+    """Kummer's function Phi(a, c; z), regular at the origin, Phi(a,c;0)=1."""
+    if c <= 0 and float(c).is_integer():
+        raise DomainError("confluent_1f1 requires c not a non-positive integer")
+    a = complex(a)
+    z = complex(z)
+
+    def terms():
+        t = 1.0 + 0.0j
+        n = 0
+        while True:
+            yield t
+            t *= (a + n) * z / ((c + n) * (n + 1.0))
+            n += 1
+
+    val, tail, n = _kahan_sum(terms())
+    return EvalResult(val, tail, n)

@@ -12,14 +12,105 @@ from hypothesis import strategies as st
 from so12phase import special_fn as sf
 
 
+def brute_bessel_i(nu, x, terms=400):
+    """Oracle: extended-precision truncation of the defining power series."""
+    with mp.workdps(60):
+        acc = mp.mpf(0)
+        for n in range(terms):
+            acc += mp.power(mp.mpf(x) / 2, nu + 2 * n) / (mp.factorial(n) * mp.gamma(nu + n + 1))
+        return float(acc)
+
+
+class TestPochhammer:
+    def test_empty_product(self):
+        assert sf.pochhammer(1.0, 0) == 1.0
+
+    def test_factorial(self):
+        assert sf.pochhammer(1.0, 3) == 6.0
+
+    def test_half_integer(self):
+        # direct product 0.5 * 1.5 * 2.5 * 3.5
+        assert sf.pochhammer(0.5, 4) == pytest.approx(6.5625, abs=0)
+
+    @given(st.floats(0.1, 20), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gamma_ratio(self, a, n):
+        assert sf.pochhammer(a, n) == pytest.approx(
+            math.exp(sf.log_pochhammer(a, n)), rel=1e-10)
+
+    def test_overflow_signalled(self):
+        with pytest.raises(OverflowError):
+            sf.pochhammer(50.0, 300)
+        assert sf.log_pochhammer(50.0, 300) > 700
+
+
 class TestLogPochhammer:
     @given(st.floats(0.1, 20), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_matches_rising_factorial(self, a, n):
         assert math.exp(sf.log_pochhammer(a, n)) == pytest.approx(float(mp.rf(a, n)), rel=1e-10)
 
-    def test_beyond_float_range(self):
-        assert sf.log_pochhammer(50.0, 300) > 700
+
+class TestBesselI:
+    def test_series_leading_term(self):
+        assert sf.bessel_i(0, 0.0).value == 1.0
+
+    def test_prefactor_zero(self):
+        assert sf.bessel_i(1, 0.0).value == 0.0
+
+    def test_against_400_term_series(self):
+        # frozen from the 60-digit series oracle above
+        assert sf.bessel_i(0, 2.0).value == pytest.approx(2.2795853023360673, rel=1e-14)
+        assert sf.bessel_i(0, 2.0).value == pytest.approx(brute_bessel_i(0, 2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 5.0])
+    def test_branch_agreement_at_switch(self, nu):
+        lo = sf.bessel_i(nu, sf.BESSEL_SWITCH)          # series branch
+        hi = sf.bessel_i(nu, np.nextafter(sf.BESSEL_SWITCH, 100.0))
+        assert abs(hi.value - lo.value) <= 1e-8 * abs(lo.value)
+
+    @pytest.mark.parametrize("nu,x", [(0, 50.0), (1, 120.0), (3.3, 31.0)])
+    def test_asymptotic_branch(self, nu, x):
+        assert sf.bessel_i(nu, x).value == pytest.approx(float(mp.besseli(nu, x)), rel=1e-12)
+
+    def test_error_estimate_bounds_truth(self):
+        res = sf.bessel_i(1.5, 7.0)
+        assert abs(res.value - float(mp.besseli(1.5, 7.0))) <= max(res.abs_error_estimate, 1e-13 * res.value)
+        assert res.terms_used >= 1
+
+
+class TestBesselK:
+    def test_half_integer_closed_form(self):
+        # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
+        assert sf.bessel_k(0.5, 1.0).value == pytest.approx(
+            math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-12)
+
+    def test_log_divergence_at_origin(self):
+        for x in (1e-4, 1e-6):
+            assert sf.bessel_k(0, x).value == pytest.approx(
+                -(sf.EULER_GAMMA + math.log(x / 2.0)), rel=1e-4)
+        assert sf.bessel_k_small_x(0, 1e-6) == pytest.approx(
+            -(sf.EULER_GAMMA + math.log(5e-7)), rel=0)
+
+    def test_large_x_matches_quadrature_oracle(self):
+        # oracle: high-precision quadrature of the cosh integral representation
+        with mp.workdps(40):
+            ref = float(mp.quad(lambda t: mp.exp(-50 * mp.cosh(t)) * mp.cosh(t), [0, 10]))
+        assert sf.bessel_k(1, 50.0).value == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.5])
+    def test_branch_agreement_at_switch(self, nu):
+        lo = sf.bessel_k(nu, sf.BESSEL_SWITCH * (1 - 1e-12))
+        hi = sf.bessel_k(nu, sf.BESSEL_SWITCH)
+        assert abs(hi.value - lo.value) <= 1e-8 * abs(lo.value)
+
+    def test_domain_error(self):
+        with pytest.raises(sf.DomainError):
+            sf.bessel_k(1.0, 0.0)
+
+    @pytest.mark.parametrize("nu,x", [(0, 0.3), (1, 4.0), (2, 12.0), (3.7, 0.05), (5, 29.0)])
+    def test_against_reference(self, nu, x):
+        assert sf.bessel_k(nu, x).value == pytest.approx(float(mp.besselk(nu, x)), rel=2e-12)
 
 
 class TestGk:
@@ -138,3 +229,23 @@ class TestRhoK:
 
     def test_small_x_form(self):
         assert sf.rho_k(0.75, 1e-3) == pytest.approx(sf.rho_k_small_x(0.75, 1e-3), rel=1e-9)
+
+
+class TestConfluent:
+    def test_normalization_at_origin(self):
+        assert sf.confluent_1f1(0.3 + 1j, 1.0, 0.0).value == 1.0 + 0j
+
+    def test_exponential_reduction(self):
+        for c in (0.5, 1.0, 3.2):
+            z = 0.7 - 0.4j
+            assert sf.confluent_1f1(c, c, z).value == pytest.approx(np.exp(z), rel=1e-13)
+
+    def test_brute_force_series(self):
+        a, c, z = 0.5 - 1j, 1.0, 2j
+        with mp.workdps(50):
+            ref = complex(mp.hyp1f1(mp.mpc(a), c, mp.mpc(z)))
+        assert sf.confluent_1f1(a, c, z).value == pytest.approx(ref, rel=1e-12)
+
+    def test_invalid_c(self):
+        with pytest.raises(sf.DomainError):
+            sf.confluent_1f1(1.0, -2.0, 1.0)
