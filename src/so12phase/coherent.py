@@ -176,23 +176,44 @@ def _grow_until_tail(log_weight, cutoff, family_phase, ratio_limit=0.0):
     return amps, tail_norm
 
 
+def _bg_log_weight(k, r2, n):
+    """log of |z|^{2n} / ((2k)_n n!), the BG number distribution up to its
+    normalization g_k(|z|^2)."""
+    n = np.asarray(n, dtype=float)
+    if r2 == 0.0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
+
+
+def _sg_log_weight(x, n):
+    """log of the Poisson weight e^{-x} x^n / n!, x = |alpha|^2."""
+    n = np.asarray(n, dtype=float)
+    if x == 0.0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * math.log(x) - x - gammaln(n + 1.0)
+
+
+def _window(mean):
+    """n = 0 ... mean + 14 sqrt(mean + 1) + 60: beyond it a BG or SG
+    distribution of that mean holds less than 1e-40 of its weight."""
+    return np.arange(int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1, dtype=float)
+
+
+def _distribution(log_w):
+    """Probabilities proportional to exp(log_w), normalized in log domain."""
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    return w
+
+
 def bg_amplitudes(state: BGState, cutoff: int = 64) -> StateVector:
     """Coefficients z^n / sqrt((2k)_n n! g_k(|z|^2)), built in log domain."""
     k = state.k
     r2 = state.modulus ** 2
     log_norm = sf.log_g_k(k, r2)
     phase = cmath.exp(1j * state.phase)
-
-    def log_weight(n):
-        n = np.asarray(n, dtype=float)
-        if r2 == 0:
-            return np.where(n == 0, 0.0, -np.inf)
-        return (0.5 * n * math.log(r2)
-                - 0.5 * (gammaln(2 * k + n) - math.lgamma(2 * k))
-                - 0.5 * gammaln(n + 1.0)
-                - 0.5 * log_norm)
-
-    amps, tail = _grow_until_tail(log_weight, cutoff, lambda n: phase ** n)
+    amps, tail = _grow_until_tail(lambda n: 0.5 * (_bg_log_weight(k, r2, n) - log_norm),
+                                  cutoff, lambda n: phase ** n)
     return StateVector(k, amps, tail)
 
 
@@ -217,17 +238,10 @@ def perelomov_amplitudes(state: PerelomovState, cutoff: int = 64) -> StateVector
 
 def sg_amplitudes(state: SGState, cutoff: int = 64) -> StateVector:
     """Coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
-    r = state.modulus
+    x = state.modulus ** 2
     phase = cmath.exp(1j * state.beta)
-
-    def log_weight(n):
-        n = np.asarray(n, dtype=float)
-        if r == 0:
-            return np.where(n == 0, 0.0, -np.inf)
-        return (-0.5 * r * r + n * math.log(r)
-                - 0.5 * gammaln(n + 1.0))
-
-    amps, tail = _grow_until_tail(log_weight, cutoff, lambda n: phase ** n)
+    amps, tail = _grow_until_tail(lambda n: 0.5 * _sg_log_weight(x, n),
+                                  cutoff, lambda n: phase ** n)
     return StateVector(state.k, amps, tail)
 
 
@@ -242,28 +256,14 @@ def amplitudes(state, cutoff: int = 64) -> StateVector:
 
 
 def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
-    """<(K0+k)^{-1/2}> in a lowering-eigenstate of modulus |z|: the direct
-    series for |z| <= 20, else the Laplace-transform integral evaluated in
-    log domain (substituting t = s^2 removes the endpoint singularity)."""
-    if z_mod == 0.0:
-        return 1.0 / math.sqrt(2.0 * k)
+    """<(K0+k)^{-1/2}> in a lowering-eigenstate of modulus |z|: for |z| <= 20
+    the sum of (2k+n)^{-1/2} over the number distribution, else the
+    Laplace-transform integral evaluated in log domain (substituting t = s^2
+    removes the endpoint singularity)."""
     r2 = z_mod * z_mod
     if z_mod <= 20.0:
-        # sum of |z|^{2n} / (sqrt(2k+n) (2k)_n n!), normalized by g_k
-        log_norm = sf.log_g_k(k, r2)
-        acc = 0.0
-        log_t = 0.0
-        n = 0
-        while True:
-            term = math.exp(log_t - log_norm) / math.sqrt(2.0 * k + n)
-            acc += term
-            if n > 4 and term < 1e-17 * acc:
-                break
-            log_t += math.log(r2) - math.log(2.0 * k + n) - math.log(n + 1.0)
-            n += 1
-            if n > sf.SERIES_MAX_TERMS:
-                break
-        return acc
+        n = _window(z_mod)
+        return float(_distribution(_bg_log_weight(k, r2, n)) @ (2.0 * k + n) ** -0.5)
     log_norm = sf.log_g_k(k, r2)
 
     def integrand(s):
@@ -331,11 +331,7 @@ def bg_overlap(k: float, z2, z1) -> complex:
 def bg_number_prob(k: float, z, n: int) -> float:
     """|z|^{2n} / ((2k)_n n! g_k(|z|^2)), a normalized distribution in n."""
     r2 = abs(complex(z)) ** 2
-    if r2 == 0.0:
-        return 1.0 if n == 0 else 0.0
-    logp = (n * math.log(r2) - sf.log_pochhammer(2.0 * k, n)
-            - math.lgamma(n + 1.0) - sf.log_g_k(k, r2))
-    return math.exp(logp)
+    return float(np.exp(_bg_log_weight(k, r2, n) - sf.log_g_k(k, r2)))
 
 
 def perelomov_expectations(k: float, lam) -> dict:
@@ -394,29 +390,26 @@ def bose_mean(lambda_modulus: float) -> float:
 
 
 def sg_sums(k: float, alpha_mod: float) -> dict:
-    """The exponential-series sums h1 = <sqrt(N+2k)>, h2 and the
-    combination h entering the quadrature second moments.
+    """The Poisson sums h1 = <sqrt(N+2k)> and h2 = <sqrt((N+2k)(N+2k+1))>,
+    the combination h entering the quadrature second moments, and
+    diff = h2 - h1^2.
 
-    Summed in log domain (the Poisson weights peak at n = |alpha|^2, and
-    e^{-|alpha|^2} underflows long before the library's |alpha| range ends).
+    With a = N + 2k, sqrt(a(a+1)) = a + 1/2 + delta where
+    delta = -1/4 / (sqrt(a(a+1)) + a + 1/2), and <N> = x = |alpha|^2, so
+    h2 = x + 2k + 1/2 + <delta>, h = x/4 - x <delta>/2 + k/2 and
+    diff = 1/2 + <delta> + <(sqrt(a) - h1)^2>.  No term of size x^2 is
+    subtracted, so h and diff keep full relative precision at large |alpha|.
     """
     x = alpha_mod ** 2
-    if x == 0.0:
-        h1 = math.sqrt(2.0 * k)
-        h2 = math.sqrt(2.0 * k * (2.0 * k + 1.0))
-    else:
-        n_max = int(x + 14.0 * math.sqrt(x + 1.0) + 60.0)
-        n = np.arange(n_max + 1, dtype=float)
-        logw = -x + n * math.log(x) - gammaln(n + 1.0)
-        peak = float(np.max(logw))
-        w = np.exp(logw - peak)
-        scale = math.exp(peak) if peak > -700 else 0.0
-        if scale == 0.0:  # keep everything relative when the peak underflows
-            scale, w = 1.0, np.exp(logw - peak) * math.exp(max(peak, -700))
-        h1 = scale * float(np.sum(w * np.sqrt(2.0 * k + n)))
-        h2 = scale * float(np.sum(w * np.sqrt((2.0 * k + n) * (2.0 * k + n + 1.0))))
-    h = 0.5 * x * x - 0.5 * (h2 - 2.0 * k - 1.0) * x + 0.5 * k
-    return {"h1": h1, "h2": h2, "h": h}
+    n = _window(x)
+    p = _distribution(_sg_log_weight(x, n))
+    a = n + 2.0 * k
+    sqrt_a = np.sqrt(a)
+    h1 = float(p @ sqrt_a)
+    delta = float(p @ (-0.25 / (np.sqrt(a * (a + 1.0)) + a + 0.5)))
+    return {"h1": h1, "h2": x + 2.0 * k + 0.5 + delta,
+            "h": 0.25 * x - 0.5 * x * delta + 0.5 * k,
+            "diff": 0.5 + delta + float(p @ (sqrt_a - h1) ** 2)}
 
 
 def sg_expectations(k: float, alpha) -> dict:
@@ -426,9 +419,8 @@ def sg_expectations(k: float, alpha) -> dict:
     r = abs(alpha)
     beta = cmath.phase(alpha) if alpha != 0 else 0.0
     sums = sg_sums(k, r)
-    h1, h2, h = sums["h1"], sums["h2"], sums["h"]
+    h1, h2, h, diff = sums["h1"], sums["h2"], sums["h"], sums["diff"]
     c, s = math.cos(beta), math.sin(beta)
-    diff = h2 - h1 * h1
     return {
         "K1": r * c * h1,
         "K2": -r * s * h1,

@@ -2,11 +2,10 @@
 
 The transcendental functions behind the closed-form moments and overlaps in
 `coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` for large real
-w), the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its small- and
-large-x forms), and the log rising factorial (`log_pochhammer`).  Beside
-them sit the rising factorial itself (`pochhammer`), the modified Bessel
-functions I_nu and K_nu with explicit series/asymptotic branches, and
-Kummer's 1F1 (`confluent_1f1`); the library does not call these.
+w) and the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its small-
+and large-x forms).  Beside them sits the modified Bessel function I_nu with
+explicit series/asymptotic branches (`bessel_i`), which the library does not
+call.
 
 Series are summed with Kahan compensation and stop when a term falls below
 1e-16 of the partial sum (or after 10^4 terms).  The reported error estimate
@@ -19,14 +18,15 @@ by n - 1 rounded recurrence steps, so its rounding grows with n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 10_000
+LOG_DBL_MAX = math.log(sys.float_info.max)
 BESSEL_SWITCH = 30.0  # series below, asymptotic expansion above
-EULER_GAMMA = 0.5772156649015328606
 
 
 @dataclass(frozen=True)
@@ -73,34 +73,10 @@ def _kahan_sum(terms):
     return total, last + 2.0 ** -52 * mass, n
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial a(a+1)...(a+n-1); n = 0 gives 1.
-
-    Overflow is signalled with OverflowError; use log_pochhammer then.
-    """
-    if a <= 0:
-        raise DomainError("pochhammer requires a > 0")
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
-    out = 1.0
-    for j in range(n):
-        out *= a + j
-        if math.isinf(out):
-            raise OverflowError("pochhammer overflow; use log_pochhammer")
-    return out
-
-
-def log_pochhammer(a: float, n: int) -> float:
-    """log of the rising factorial, via lgamma(a+n) - lgamma(a)."""
-    if a <= 0:
-        raise DomainError("log_pochhammer requires a > 0")
-    return math.lgamma(a + n) - math.lgamma(a)
-
-
 def _bessel_asymptotic_terms(nu: float, x: float, signs: int):
     """Terms of the large-x expansion e^{+-x}/sqrt(2 pi x) sum_k c_k / x^k.
 
-    signs=-1 alternates (I branch), signs=+1 keeps them positive (K branch).
+    signs=-1 alternates (the I_nu expansion), signs=+1 keeps them positive.
     Truncated adaptively where the terms stop decreasing.
     """
     mu = 4.0 * nu * nu
@@ -149,63 +125,26 @@ def bessel_i(nu: float, x: float) -> EvalResult:
     return EvalResult(val, err, len(ts))
 
 
-def _bessel_k_quadrature(nu: float, xs: np.ndarray) -> np.ndarray:
-    """K_nu on an array of moderate arguments via the cosh integral
-    representation, composite Gauss-Legendre in t with fixed panels."""
-    xmin = float(np.min(xs))
-    arg = max(770.0 / xmin, 2.0)
-    tmax = math.acosh(arg)
-    tmax = math.acosh(max((770.0 + nu * tmax) / xmin, 2.0))
-    n_panels = max(6, int(math.ceil(tmax / 1.5)))
-    gx, gw = np.polynomial.legendre.leggauss(64)
-    edges = np.linspace(0.0, tmax, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    # exponent is clipped: anything below -745 underflows to zero anyway
-    expo = -np.outer(xs, np.cosh(t))
-    np.clip(expo, -745.0, None, out=expo)
-    integ = np.exp(expo) * np.cosh(nu * t)[None, :]
-    return integ @ w
-
-
-def bessel_k(nu: float, x: float) -> EvalResult:
-    """Modified Bessel function of the third kind K_nu(x), x > 0."""
-    if x <= 0:
-        raise DomainError("bessel_k requires x > 0")
-    nu = abs(nu)
-    if x >= BESSEL_SWITCH:
-        ts = _bessel_asymptotic_terms(nu, x, signs=+1)
-        pref = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
-        val = pref * math.fsum(ts)
-        return EvalResult(val, pref * abs(ts[-1]), len(ts))
-    val = float(_bessel_k_quadrature(nu, np.array([x]))[0])
-    return EvalResult(val, 1e-13 * abs(val), 1)
-
-
-def bessel_k_small_x(nu: float, x: float) -> float:
-    """Leading small-x behaviour: Gamma(nu)/2 (x/2)^-nu, or the log form
-    -(gamma + log(x/2)) at nu = 0."""
-    if nu == 0:
-        return -(EULER_GAMMA + math.log(0.5 * x))
-    return 0.5 * math.gamma(nu) * (0.5 * x) ** (-nu)
-
-
 def g_k(k: float, w) -> EvalResult:
     """The entire kernel 0F1(2k; w) = sum_n w^n / ((2k)_n n!).
 
     For real w >= 0 this equals Gamma(2k) w^{(1-2k)/2} I_{2k-1}(2 sqrt(w)).
     Complex w is evaluated by the same series; arguments with
-    2 sqrt|w| > 600 overflow the direct series -- use log_g_k (real w).
+    2 sqrt|w| > 600 overflow the direct series and raise OverflowError.
+    Real w >= 0 there is exp(log_g_k), which raises OverflowError once the
+    value passes the largest double.
     """
     if k <= 0:
         raise DomainError("g_k requires k > 0")
     w = complex(w)
     if 2.0 * math.sqrt(abs(w)) > 600.0:
         if abs(w.imag) == 0.0 and w.real >= 0.0:
-            return EvalResult(math.exp(log_g_k(k, w.real)), 0.0, 1)
-        raise OverflowError("g_k series overflow for |w| this large")
+            log_g = log_g_k(k, w.real)
+            if log_g <= LOG_DBL_MAX:
+                # log_g carries a few ulp of itself; exp makes that relative
+                value = math.exp(log_g)
+                return EvalResult(value, 32.0 * 2.0 ** -52 * log_g * value, 1)
+        raise OverflowError("g_k overflows for |w| this large")
 
     def terms():
         t = 1.0 + 0.0j
@@ -288,22 +227,3 @@ def rho_k_asymptotic(k: float, x: float, order: int = 2) -> float:
 def rho_k_small_x(k: float, x: float) -> float:
     """Small-x behaviour (x/2k)(1 - x^2/(2k(2k+1)))."""
     return x / (2.0 * k) * (1.0 - x * x / (2.0 * k * (2.0 * k + 1.0)))
-
-
-def confluent_1f1(a, c: float, z) -> EvalResult:
-    """Kummer's function Phi(a, c; z), regular at the origin, Phi(a,c;0)=1."""
-    if c <= 0 and float(c).is_integer():
-        raise DomainError("confluent_1f1 requires c not a non-positive integer")
-    a = complex(a)
-    z = complex(z)
-
-    def terms():
-        t = 1.0 + 0.0j
-        n = 0
-        while True:
-            yield t
-            t *= (a + n) * z / ((c + n) * (n + 1.0))
-            n += 1
-
-    val, tail, n = _kahan_sum(terms())
-    return EvalResult(val, tail, n)

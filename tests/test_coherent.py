@@ -160,6 +160,21 @@ class TestBGExpectations:
             assert hi == pytest.approx(lo, rel=1e-9)
 
 
+    @pytest.mark.parametrize("k", [0.05, 0.25, 0.5, 1.0, 3.0, 10.0, 50.0])
+    def test_inv_sqrt_series_side(self, k):
+        # 34-digit direct sum of (2k+n)^{-1/2} |z|^{2n} / ((2k)_n n!) over g_k
+        for z in (1e-3, 0.1, 1.0, 5.0, 10.0, 20.0):
+            with mp.workdps(34):
+                kk, r2 = mp.mpf(k), mp.mpf(z) ** 2
+                t, num, den, n = mp.mpf(1), mp.mpf(0), mp.mpf(0), 0
+                while n < 10 or t > mp.mpf(10) ** -40 * den:
+                    num += t / mp.sqrt(2 * kk + n)
+                    den += t
+                    t *= r2 / ((2 * kk + n) * (n + 1))
+                    n += 1
+                ref = float(num / den)
+            assert co.inv_sqrt_k0_expectation(k, z) == pytest.approx(ref, rel=1e-13), (k, z)
+
 class TestBGOverlap:
     def test_self_overlap(self):
         assert co.bg_overlap(0.7, 1.3j, 1.3j) == pytest.approx(1.0, rel=1e-12)
@@ -408,6 +423,27 @@ class TestSGAsymptotics:
                 assert (sa["h1_sq"] / 64.0 ** 2 - 1 - (2 * k - 0.25) / 64.0 ** 2) * 64.0 ** 4 \
                     == pytest.approx(c_sq, abs=1e-5)
                 assert (sa["diff"] - 0.75) * 64.0 ** 2 == pytest.approx(c_diff, abs=1e-5)
+
+    @pytest.mark.parametrize("k", [0.05, 0.25, 1.0, 3.0, 10.0])
+    def test_sums_against_mpmath(self, k):
+        # 40-digit Poisson sums: the oracle forms h and h2 - h1^2 by
+        # cancelling terms of size x^2 and x, so it carries digits to spare
+        for r in (0.0, 0.1, 5.0, 20.0, 40.0, 100.0):
+            with mp.workdps(40):
+                kk, x = mp.mpf(k), mp.mpf(r) ** 2
+                width = 14 * mp.sqrt(x + 1) + 60
+                n0 = int(max(0, mp.floor(x - width)))
+                t = mp.exp(-x + n0 * mp.log(x) - mp.loggamma(n0 + 1)) if x > 0 else mp.mpf(1)
+                h1 = h2 = mp.mpf(0)
+                for n in range(n0, int(x + width) + 1):
+                    h1 += t * mp.sqrt(2 * kk + n)
+                    h2 += t * mp.sqrt((2 * kk + n) * (2 * kk + n + 1))
+                    t *= x / (n + 1)
+                ref = {"h1": h1, "h2": h2, "h": x * x / 2 - (h2 - 2 * kk - 1) * x / 2 + kk / 2,
+                       "diff": h2 - h1 * h1}
+            se = co.sg_sums(k, r)
+            for key, val in ref.items():
+                assert se[key] == pytest.approx(float(val), rel=1e-12), (k, r, key)
 
     def test_var_k1_structure_at_cos1(self):
         # beta = 0: var K1 ~ (3/4 + 1/4)|alpha|^2 to leading order
