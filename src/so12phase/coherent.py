@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,83 +33,70 @@ class NormDefect(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BGState:
-    """Eigenstate of the lowering operator K- with eigenvalue z."""
+class _CoherentState:
+    """A family's index k and its one complex parameter.  Each family names
+    the parameter's field in PARAM and itself in FAMILY."""
 
     k: float
-    z: complex
 
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("k must be positive")
-        object.__setattr__(self, "z", complex(self.z))
+        object.__setattr__(self, self.PARAM, complex(self.parameter))
+
+    @property
+    def parameter(self) -> complex:
+        return getattr(self, self.PARAM)
 
     @property
     def modulus(self) -> float:
-        return abs(self.z)
+        return abs(self.parameter)
 
     @property
-    def phase(self) -> float:
-        return cmath.phase(self.z) if self.z != 0 else 0.0
+    def arg(self) -> float:
+        return cmath.phase(self.parameter)
 
 
 @dataclass(frozen=True)
-class PerelomovState:
+class BGState(_CoherentState):
+    """Eigenstate of the lowering operator K- with eigenvalue z."""
+
+    PARAM = "z"
+    FAMILY = "bg"
+    z: complex
+
+
+@dataclass(frozen=True)
+class PerelomovState(_CoherentState):
     """Displacement-operator state; lambda lives strictly inside the unit
     disc and shares its phase with the displacement parameter w, with
     |lambda| = tanh(|w|/2)."""
 
-    k: float
+    PARAM = "lam"
+    FAMILY = "perelomov"
     lam: complex
     w: complex = field(init=False)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        lam = complex(self.lam)
-        if abs(lam) >= 1.0:
+        super().__post_init__()
+        if self.modulus >= 1.0:
             raise ValueError("|lambda| must be < 1")
-        object.__setattr__(self, "lam", lam)
-        mod = abs(lam)
-        w_mod = 2.0 * math.atanh(mod)
-        phase = cmath.phase(lam) if lam != 0 else 0.0
-        object.__setattr__(self, "w", w_mod * cmath.exp(1j * phase))
+        object.__setattr__(self, "w", cmath.rect(2.0 * math.atanh(self.modulus), self.arg))
 
     @classmethod
     def from_w(cls, k: float, w: complex) -> "PerelomovState":
         w = complex(w)
-        lam = math.tanh(abs(w) / 2.0) * (cmath.exp(1j * cmath.phase(w)) if w != 0 else 1.0)
-        return cls(k, lam)
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.lam)
-
-    @property
-    def theta(self) -> float:
-        return cmath.phase(self.lam) if self.lam != 0 else 0.0
+        return cls(k, cmath.rect(math.tanh(abs(w) / 2.0), cmath.phase(w)))
 
 
 @dataclass(frozen=True)
-class SGState:
+class SGState(_CoherentState):
     """Eigenstate of the composite annihilation operator; mean quantum
     number |alpha|^2 independent of k."""
 
-    k: float
+    PARAM = "alpha"
+    FAMILY = "sg"
     alpha: complex
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.alpha)
-
-    @property
-    def beta(self) -> float:
-        return cmath.phase(self.alpha) if self.alpha != 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -185,6 +172,16 @@ def _bg_log_weight(k, r2, n):
     return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
 
 
+def _pl_log_weight(k, r2, n):
+    """log of (1-|lam|^2)^{2k} (2k)_n |lam|^{2n} / n!, the Perelomov
+    (negative-binomial) number distribution, r2 = |lam|^2."""
+    n = np.asarray(n, dtype=float)
+    if r2 == 0.0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return (2.0 * k * math.log1p(-r2) + n * math.log(r2)
+            + (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0))
+
+
 def _sg_log_weight(x, n):
     """log of the Poisson weight e^{-x} x^n / n!, x = |alpha|^2."""
     n = np.asarray(n, dtype=float)
@@ -206,43 +203,32 @@ def _distribution(log_w):
     return w
 
 
+def _assemble(state, log_weight, cutoff, ratio_limit=0.0) -> StateVector:
+    """State vector with |c_n|^2 = exp(log_weight(n)) and c_n carrying the
+    parameter's phase to the power n."""
+    phase = cmath.exp(1j * state.arg)
+    amps, tail = _grow_until_tail(lambda n: 0.5 * log_weight(n), cutoff,
+                                  lambda n: phase ** n, ratio_limit)
+    return StateVector(state.k, amps, tail)
+
+
 def bg_amplitudes(state: BGState, cutoff: int = 64) -> StateVector:
     """Coefficients z^n / sqrt((2k)_n n! g_k(|z|^2)), built in log domain."""
-    k = state.k
-    r2 = state.modulus ** 2
+    k, r2 = state.k, state.modulus ** 2
     log_norm = sf.log_g_k(k, r2)
-    phase = cmath.exp(1j * state.phase)
-    amps, tail = _grow_until_tail(lambda n: 0.5 * (_bg_log_weight(k, r2, n) - log_norm),
-                                  cutoff, lambda n: phase ** n)
-    return StateVector(k, amps, tail)
+    return _assemble(state, lambda n: _bg_log_weight(k, r2, n) - log_norm, cutoff)
 
 
 def perelomov_amplitudes(state: PerelomovState, cutoff: int = 64) -> StateVector:
     """Coefficients (1-|lam|^2)^k sqrt((2k)_n/n!) lam^n."""
-    k = state.k
-    r = state.modulus
-    phase = cmath.exp(1j * state.theta)
-
-    def log_weight(n):
-        n = np.asarray(n, dtype=float)
-        base = k * math.log1p(-r * r)
-        if r == 0:
-            return np.where(n == 0, base, -np.inf)
-        return (base + n * math.log(r)
-                + 0.5 * (gammaln(2 * k + n) - math.lgamma(2 * k))
-                - 0.5 * gammaln(n + 1.0))
-
-    amps, tail = _grow_until_tail(log_weight, cutoff, lambda n: phase ** n, r * r)
-    return StateVector(k, amps, tail)
+    r2 = state.modulus ** 2
+    return _assemble(state, lambda n: _pl_log_weight(state.k, r2, n), cutoff, r2)
 
 
 def sg_amplitudes(state: SGState, cutoff: int = 64) -> StateVector:
     """Coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
     x = state.modulus ** 2
-    phase = cmath.exp(1j * state.beta)
-    amps, tail = _grow_until_tail(lambda n: 0.5 * _sg_log_weight(x, n),
-                                  cutoff, lambda n: phase ** n)
-    return StateVector(state.k, amps, tail)
+    return _assemble(state, lambda n: _sg_log_weight(x, n), cutoff)
 
 
 def amplitudes(state, cutoff: int = 64) -> StateVector:
@@ -281,7 +267,7 @@ def bg_expectations(k: float, z) -> dict:
     as None at z = 0 where the mean quantum number vanishes."""
     z = complex(z)
     r = abs(z)
-    phi = cmath.phase(z) if z != 0 else 0.0
+    phi = cmath.phase(z)
     rho = sf.rho_k(k, r)
     k0 = k + r * rho
     k0_sq = k * k + r * r + r * rho
@@ -340,7 +326,7 @@ def perelomov_expectations(k: float, lam) -> dict:
     r = abs(lam)
     if r >= 1.0:
         raise ValueError("|lambda| must be < 1")
-    th = cmath.phase(lam) if lam != 0 else 0.0
+    th = cmath.phase(lam)
     denom = 1.0 - r * r
     k0 = k * (1.0 + r * r) / denom
     var_k0 = 2.0 * k * r * r / denom ** 2
@@ -417,7 +403,7 @@ def sg_expectations(k: float, alpha) -> dict:
     are oscillator-like while K1, K2 involve the series sums h1, h2."""
     alpha = complex(alpha)
     r = abs(alpha)
-    beta = cmath.phase(alpha) if alpha != 0 else 0.0
+    beta = cmath.phase(alpha)
     sums = sg_sums(k, r)
     h1, h2, h, diff = sums["h1"], sums["h2"], sums["h"], sums["diff"]
     c, s = math.cos(beta), math.sin(beta)
@@ -461,80 +447,77 @@ def sg_asymptotics(k: float, alpha_modulus: float, order: int = 2) -> dict:
             "c1_minus4": c14}
 
 
-def cross_kernel_C(k: float, u) -> complex:
-    """C_k(u) = sum_n u^n / (sqrt((2k)_n) n!), the line between the
-    composite-oscillator and lowering-eigenstate families."""
+def _cross_series(u, step) -> complex:
+    """sum_n t_n with t_0 = 1 and t_{n+1} = t_n step(u, n), stopped once a
+    term falls below 1e-17 of the partial sum.  Raises OverflowError once
+    the partial sum is no longer finite."""
     u = complex(u)
     acc = 0.0 + 0.0j
     t = 1.0 + 0.0j
     n = 0
     while True:
         acc += t
-        t *= u / ((n + 1.0) * math.sqrt(2.0 * k + n))
+        if not cmath.isfinite(acc):
+            raise OverflowError(f"cross kernel series overflows at |u| = {abs(u):g}")
+        t *= step(u, n)
         n += 1
         if n > 4 and abs(t) < 1e-17 * max(abs(acc), 1e-300):
             break
         if n > sf.SERIES_MAX_TERMS:
             break
     return acc
+
+
+def cross_kernel_C(k: float, u) -> complex:
+    """C_k(u) = sum_n u^n / (sqrt((2k)_n) n!), the line between the
+    composite-oscillator and lowering-eigenstate families."""
+    return _cross_series(u, lambda u, n: u / ((n + 1.0) * math.sqrt(2.0 * k + n)))
 
 
 def cross_kernel_D(k: float, u) -> complex:
     """D_k(u) = sum_n sqrt((2k)_n) u^n / n!."""
-    u = complex(u)
-    acc = 0.0 + 0.0j
-    t = 1.0 + 0.0j
-    n = 0
-    while True:
-        acc += t
-        t *= u * math.sqrt(2.0 * k + n) / (n + 1.0)
-        n += 1
-        if n > 4 and abs(t) < 1e-17 * max(abs(acc), 1e-300):
-            break
-        if n > sf.SERIES_MAX_TERMS:
-            break
-    return acc
+    return _cross_series(u, lambda u, n: u * math.sqrt(2.0 * k + n) / (n + 1.0))
+
+
+def _times_exp(kernel: complex, log_scale: float) -> complex:
+    """kernel e^{log_scale}, formed as kernel/|kernel| e^{log|kernel| + log_scale}
+    so that neither factor over- or underflows on its own."""
+    mod = abs(kernel)
+    if mod == 0.0:
+        return 0j
+    return kernel / mod * math.exp(math.log(mod) + log_scale)
 
 
 def cross_overlaps(k: float, alpha, z, lam) -> dict:
-    """All pairwise scalar products between the three families."""
+    """All pairwise scalar products between the three families, each
+    assembled in log domain: e^{-|alpha|^2/2} underflows beyond
+    |alpha| ~ 38.6 while the kernels grow."""
     alpha, z, lam = complex(alpha), complex(z), complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("|lambda| must be < 1")
-    c_k = cross_kernel_C(k, np.conj(alpha) * z)
-    d_k = cross_kernel_D(k, np.conj(alpha) * lam)
-    overlap_az = (math.exp(-0.5 * abs(alpha) ** 2)
-                  * c_k * math.exp(-0.5 * sf.log_g_k(k, abs(z) ** 2)))
-    overlap_al = (math.exp(-0.5 * abs(alpha) ** 2)
-                  * (1.0 - abs(lam) ** 2) ** k * d_k)
-    overlap_lz = ((1.0 - abs(lam) ** 2) ** k
-                  * cmath.exp(np.conj(lam) * z)
-                  * math.exp(-0.5 * sf.log_g_k(k, abs(z) ** 2)))
-    return {"C_k": c_k, "D_k": d_k, "overlap_az": overlap_az,
-            "overlap_al": overlap_al, "overlap_lz": overlap_lz}
+    c_k = cross_kernel_C(k, alpha.conjugate() * z)
+    d_k = cross_kernel_D(k, alpha.conjugate() * lam)
+    log_sg = -0.5 * abs(alpha) ** 2
+    log_bg = -0.5 * sf.log_g_k(k, abs(z) ** 2)
+    log_pl = k * math.log1p(-abs(lam) ** 2)
+    return {"C_k": c_k, "D_k": d_k,
+            "overlap_az": _times_exp(c_k, log_sg + log_bg),
+            "overlap_al": _times_exp(d_k, log_sg + log_pl),
+            "overlap_lz": cmath.exp(lam.conjugate() * z + log_pl + log_bg)}
 
 
 def time_evolve(state, t: float):
     """Free evolution by K0: the family is preserved, the parameter turns
     by e^{-it}, and a global phase e^{-ikt} multiplies the state."""
-    phase = cmath.exp(-1j * state.k * t)
-    rot = cmath.exp(-1j * t)
-    if isinstance(state, BGState):
-        return BGState(state.k, state.z * rot), phase
-    if isinstance(state, PerelomovState):
-        return PerelomovState(state.k, state.lam * rot), phase
-    if isinstance(state, SGState):
-        return SGState(state.k, state.alpha * rot), phase
-    raise TypeError(f"not a coherent state: {state!r}")
+    turned = replace(state, **{state.PARAM: state.parameter * cmath.exp(-1j * t)})
+    return turned, cmath.exp(-1j * state.k * t)
 
 
 def serialize_state(state, vec: StateVector) -> dict:
     """JSON-ready payload for the file exports."""
-    family = {BGState: "bg", PerelomovState: "perelomov", SGState: "sg"}[type(state)]
-    par = {"bg": lambda s: s.z, "perelomov": lambda s: s.lam,
-           "sg": lambda s: s.alpha}[family](state)
+    par = state.parameter
     return {
-        "family": family,
+        "family": state.FAMILY,
         "k": state.k,
         "parameter": [par.real, par.imag],
         "cutoff": vec.cutoff,

@@ -3,9 +3,7 @@
 The transcendental functions behind the closed-form moments and overlaps in
 `coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` for large real
 w) and the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its small-
-and large-x forms).  Beside them sits the modified Bessel function I_nu with
-explicit series/asymptotic branches (`bessel_i`), which the library does not
-call.
+and large-x forms).
 
 Series are summed with Kahan compensation and stop when a term falls below
 1e-16 of the partial sum (or after 10^4 terms).  The reported error estimate
@@ -26,7 +24,6 @@ import numpy as np
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 10_000
 LOG_DBL_MAX = math.log(sys.float_info.max)
-BESSEL_SWITCH = 30.0  # series below, asymptotic expansion above
 
 
 @dataclass(frozen=True)
@@ -71,58 +68,6 @@ def _kahan_sum(terms):
         if n >= SERIES_MAX_TERMS:
             break
     return total, last + 2.0 ** -52 * mass, n
-
-
-def _bessel_asymptotic_terms(nu: float, x: float, signs: int):
-    """Terms of the large-x expansion e^{+-x}/sqrt(2 pi x) sum_k c_k / x^k.
-
-    signs=-1 alternates (the I_nu expansion), signs=+1 keeps them positive.
-    Truncated adaptively where the terms stop decreasing.
-    """
-    mu = 4.0 * nu * nu
-    coeff = 1.0
-    term = 1.0
-    out = [term]
-    k = 0
-    while True:
-        coeff *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
-        k += 1
-        nxt = (signs ** k) * coeff / x ** k
-        if abs(nxt) >= abs(term) or k > 4 * x:
-            break
-        out.append(nxt)
-        term = nxt
-        if abs(nxt) < 1e-18:
-            break
-    return out
-
-
-def bessel_i(nu: float, x: float) -> EvalResult:
-    """Modified Bessel function of the first kind I_nu(x), x >= 0, nu >= 0."""
-    if x < 0 or nu < 0:
-        raise DomainError("bessel_i requires x >= 0 and nu >= 0")
-    if x == 0.0:
-        return EvalResult(1.0 if nu == 0 else 0.0, 0.0, 1)
-    if x <= BESSEL_SWITCH:
-        q = 0.25 * x * x
-        t0 = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-
-        def terms():
-            t = t0
-            n = 0
-            while True:
-                yield t
-                t *= q / ((n + 1.0) * (nu + n + 1.0))
-                n += 1
-
-        val, tail, n = _kahan_sum(terms())
-        return EvalResult(val.real, tail, n)
-    # asymptotic branch
-    ts = _bessel_asymptotic_terms(nu, x, signs=-1)
-    pref = math.exp(x) / math.sqrt(2.0 * math.pi * x)
-    val = pref * math.fsum(ts)
-    err = pref * abs(ts[-1]) * max(1.0, abs(4 * nu * nu - (2 * len(ts) - 1) ** 2) / (8.0 * len(ts) * x))
-    return EvalResult(val, err, len(ts))
 
 
 def g_k(k: float, w) -> EvalResult:

@@ -4,6 +4,8 @@ name and raises when one is missing; the library must keep every one."""
 import importlib
 from pathlib import Path
 
+import pytest
+
 from so12phase import coherent as co
 from so12phase import special_fn as sf
 
@@ -19,3 +21,25 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (co.inv_sqrt_k0_expectation, co._grow_until_tail, sf.log_g_k) == originals
+
+
+@pytest.mark.parametrize("state,builder", [
+    (co.BGState(0.5, 1.0 + 1.0j), "coherent.bg_amplitudes"),
+    (co.PerelomovState(0.5, 0.3j), "coherent.perelomov_amplitudes"),
+    (co.SGState(0.5, 2.0), "coherent.sg_amplitudes"),
+], ids=["bg", "perelomov", "sg"])
+def test_amplitudes_dispatch_is_traced(monkeypatch, state, builder):
+    # the coherent.amplitudes.* metrics read the builders' spans and the basis
+    # sizes their _grow_until_tail calls try; a dispatch that bypassed the
+    # module attributes would leave those metrics at zero
+    monkeypatch.syspath_prepend(str(BENCHES))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        vec = co.amplitudes(state)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[tracer_mod.LAYER] == "coherent.amplitudes"]
+    assert [s[tracer_mod.NAME] for s in spans] == [builder]
+    assert sum(spans[0][tracer_mod.COUNTS]["tried"]) >= vec.cutoff

@@ -1,6 +1,7 @@
 """Coherent-state families: closed forms against truncated-matrix oracles."""
 
 import cmath
+import json
 import math
 
 import mpmath as mp
@@ -489,8 +490,53 @@ class TestCrossOverlaps:
             term *= u / ((n + 1.0) * math.sqrt(2 * k + n))
         assert co.cross_overlaps(k, 1.0, 1j, 0.0)["C_k"] == pytest.approx(acc, abs=1e-10)
 
+    def test_large_alpha_log_domain(self):
+        # e^{-|alpha|^2/2} = e^{-800} underflows while D_k(36) ~ 1.3e284
+        k, alpha, z, lam = 1, 40, 0.5, 0.9
+        with mp.workdps(40):
+            u = mp.mpf(alpha) * lam
+            d_k = mp.fsum(mp.sqrt(mp.rf(2 * k, n)) * u ** n / mp.factorial(n)
+                          for n in range(4000))
+            ref = mp.exp(-mp.mpf(alpha) ** 2 / 2) * (1 - mp.mpf(lam) ** 2) ** k * d_k
+        got = co.cross_overlaps(k, alpha, z, lam)["overlap_al"]
+        assert got == pytest.approx(complex(ref), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("kernel,u", [(co.cross_kernel_D, 38), (co.cross_kernel_D, 50),
+                                          (co.cross_kernel_C, 1e5)])
+    def test_kernel_overflow_raises(self, kernel, u):
+        with pytest.raises(OverflowError):
+            kernel(1, u)
+
+
+FAMILIES = [(co.BGState, 1.2 + 0.5j), (co.PerelomovState, 0.4 - 0.3j), (co.SGState, 1.1j)]
+FAMILY_IDS = ["bg", "perelomov", "sg"]
+
 
 class TestTimeEvolution:
+    @pytest.mark.parametrize("cls,par", FAMILIES, ids=FAMILY_IDS)
+    def test_parameter_turns(self, cls, par):
+        k, t = 0.75, 0.9
+        s2, phase = co.time_evolve(cls(k, par), t)
+        assert type(s2) is cls and s2.k == k
+        assert s2.parameter == pytest.approx(par * cmath.exp(-1j * t), rel=1e-15)
+        assert phase == pytest.approx(cmath.exp(-1j * k * t), rel=1e-15)
+
+    def test_perelomov_w_follows(self):
+        s2, _ = co.time_evolve(co.PerelomovState(1.0, 0.5 * cmath.exp(0.3j)), 0.9)
+        assert s2.w == pytest.approx(math.log(3.0) * cmath.exp(-0.6j), rel=1e-12)
+        assert co.PerelomovState.from_w(1.0, s2.w).lam == pytest.approx(s2.lam, rel=1e-12)
+
+    @pytest.mark.parametrize("cls,par", FAMILIES[1:], ids=FAMILY_IDS[1:])
+    def test_vector_oracle(self, cls, par):
+        # test_matrix_exponential_oracle for the other two families
+        k, t = 0.5, 0.9
+        vec = co.amplitudes(cls(k, par))
+        s2, phase = co.time_evolve(cls(k, par), t)
+        vec2 = co.amplitudes(s2, vec.cutoff)
+        n = min(vec.cutoff, vec2.cutoff)
+        evolved = np.exp(-1j * (k + np.arange(n)) * t) * vec.coeffs[:n]
+        assert np.allclose(evolved, phase * vec2.coeffs[:n], atol=1e-10)
+
     def test_identity_at_zero(self):
         s = co.BGState(0.5, 1 + 1j)
         s2, phase = co.time_evolve(s, 0.0)
@@ -528,3 +574,15 @@ class TestSerialization:
         blob = co.serialize_state(s, vec)
         assert blob["family"] == "bg"
         assert blob["coeffs"][0][0] == pytest.approx(1 / math.sqrt(float(mp.besseli(0, 2.0))))
+
+    @pytest.mark.parametrize("cls,par,family", [f + (i,) for f, i in zip(FAMILIES, FAMILY_IDS)],
+                             ids=FAMILY_IDS)
+    def test_family_fields(self, cls, par, family):
+        s = cls(1.5, par)
+        vec = co.amplitudes(s)
+        blob = json.loads(json.dumps(co.serialize_state(s, vec)))
+        assert blob["family"] == family and blob["k"] == 1.5
+        assert blob["parameter"] == [par.real, par.imag]
+        assert blob["cutoff"] == vec.cutoff == len(blob["coeffs"])
+        assert blob["tail_norm"] == vec.tail_norm
+        assert [complex(*c) for c in blob["coeffs"]] == list(vec.coeffs)

@@ -1,4 +1,4 @@
-"""Special-function kernel against brute-force and closed-form oracles."""
+"""Special-function kernel against mpmath and closed-form oracles."""
 
 import cmath
 import math
@@ -6,47 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from so12phase import special_fn as sf
-
-
-def brute_bessel_i(nu, x, terms=400):
-    """Oracle: extended-precision truncation of the defining power series."""
-    with mp.workdps(60):
-        acc = mp.mpf(0)
-        for n in range(terms):
-            acc += mp.power(mp.mpf(x) / 2, nu + 2 * n) / (mp.factorial(n) * mp.gamma(nu + n + 1))
-        return float(acc)
-
-
-class TestBesselI:
-    def test_series_leading_term(self):
-        assert sf.bessel_i(0, 0.0).value == 1.0
-
-    def test_prefactor_zero(self):
-        assert sf.bessel_i(1, 0.0).value == 0.0
-
-    def test_against_400_term_series(self):
-        # frozen from the 60-digit series oracle above
-        assert sf.bessel_i(0, 2.0).value == pytest.approx(2.2795853023360673, rel=1e-14)
-        assert sf.bessel_i(0, 2.0).value == pytest.approx(brute_bessel_i(0, 2.0), rel=1e-14)
-
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 5.0])
-    def test_branch_agreement_at_switch(self, nu):
-        lo = sf.bessel_i(nu, sf.BESSEL_SWITCH)          # series branch
-        hi = sf.bessel_i(nu, np.nextafter(sf.BESSEL_SWITCH, 100.0))
-        assert abs(hi.value - lo.value) <= 1e-8 * abs(lo.value)
-
-    @pytest.mark.parametrize("nu,x", [(0, 50.0), (1, 120.0), (3.3, 31.0)])
-    def test_asymptotic_branch(self, nu, x):
-        assert sf.bessel_i(nu, x).value == pytest.approx(float(mp.besseli(nu, x)), rel=1e-12)
-
-    def test_error_estimate_bounds_truth(self):
-        res = sf.bessel_i(1.5, 7.0)
-        assert abs(res.value - float(mp.besseli(1.5, 7.0))) <= max(res.abs_error_estimate, 1e-13 * res.value)
-        assert res.terms_used >= 1
 
 
 class TestGk:
