@@ -6,10 +6,19 @@ to one, and composite oscillator operators are assembled from them.  Because
 the basis is truncated at dimension N, operator identities that mix raising
 and lowering are exact only on the interior block (indices 0..N-3); every
 checker in this module reports that block size.
+
+Every operator is banded, so the products (Casimir, commutators, composite
+and Holstein-Primakoff operators) are formed on `scipy.sparse` CSR arrays in
+O(N) time and memory.  `commutator_residuals` never leaves the sparse form;
+the functions that return an `OperatorMatrix` make it dense once at the end.
+`build_generators` builds its dense matrices directly: at the small cutoffs
+of state-vector reads the sparse constructors' fixed cost outweighs the
+saving.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +38,8 @@ class RepParams:
     cutoff: int
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("Bargmann index k must be positive")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise ValueError("Bargmann index k must be positive and finite")
         if self.cutoff < 4:
             raise ValueError("cutoff must be at least 4")
 
@@ -51,7 +60,12 @@ class RepParams:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix in the number basis with hermiticity metadata."""
+    """Dense complex matrix in the number basis with hermiticity metadata.
+
+    Every L3 function returns its operators in this dense form, although the
+    audits compute them on sparse bands.  A matrix flagged hermitian that is
+    not, or holds a non-finite entry, raises ValueError.
+    """
 
     entries: np.ndarray
     hermitian: bool = field(default=False)
@@ -62,9 +76,12 @@ class OperatorMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("OperatorMatrix must be square")
         if self.hermitian:
+            scale = np.max(np.abs(arr))
             dev = np.max(np.abs(arr - arr.conj().T))
-            if dev > HERMITICITY_TOL * max(1.0, np.max(np.abs(arr))):
-                raise ValueError(f"hermitian flag set but deviation {dev:g}")
+            # negated so that a nan deviation fails; an inf entry whose mirror
+            # is finite gives dev = tol = inf, hence the scale check
+            if not (dev <= HERMITICITY_TOL * max(1.0, scale) and math.isfinite(scale)):
+                raise ValueError(f"hermitian flag set but deviation {dev:g} at scale {scale:g}")
 
     @property
     def dim(self) -> int:
@@ -78,18 +95,26 @@ class OperatorMatrix:
         return complex(np.vdot(vec, self.entries @ vec))
 
 
+def _ladder_bands(params: RepParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal k+n of K0 and band sqrt((2k+n)(n+1)) of K+ (below the
+    diagonal) and K- (above it): the one place the matrix elements are
+    written.  Raises ValueError once the band overflows."""
+    k, n = params.k, np.arange(params.cutoff)
+    band = np.sqrt((2 * k + n[:-1]) * (n[:-1] + 1))
+    if not math.isfinite(band[-1]):  # the band grows with n
+        raise ValueError(f"ladder matrix elements overflow at k = {k:g}")
+    return k + n, band
+
+
 def build_generators(params: RepParams) -> dict:
     """K0, K+, K-, K1, K2 on the truncated basis.
 
     K0 = diag(k+n); <k,n+1|K+|k,n> = sqrt((2k+n)(n+1)); K- = K+^dagger;
     K1 = (K+ + K-)/2 and K2 = (K+ - K-)/(2i).
     """
-    k, n_dim = params.k, params.cutoff
-    n = np.arange(n_dim)
-    k0 = np.diag((k + n).astype(complex))
-    kplus = np.zeros((n_dim, n_dim), dtype=complex)
-    sub = np.sqrt((2 * k + n[:-1]) * (n[:-1] + 1))
-    kplus[n[:-1] + 1, n[:-1]] = sub
+    diag, band = _ladder_bands(params)
+    k0 = np.diag(diag.astype(complex))
+    kplus = np.diag(band.astype(complex), -1)
     kminus = kplus.conj().T
     k1 = 0.5 * (kplus + kminus)
     k2 = (kplus - kminus) / 2j
@@ -102,11 +127,41 @@ def build_generators(params: RepParams) -> dict:
     }
 
 
+def _csr_band(values: np.ndarray, offset: int):
+    """Square CSR array holding `values` on the diagonal `offset` in
+    {-1, 0, 1}.  Built from its index arrays: scipy's `diags_array(...,
+    format="csr")` goes through DIA and costs about four times as much."""
+    # imported here, on first use: about 18 ms that callers who never audit
+    # (the state-vector and moment paths) need not pay
+    from scipy import sparse
+
+    n_dim = len(values) + abs(offset)
+    # two ufuncs rather than np.clip, whose own overhead is about 9 us a call
+    indptr = np.maximum(np.minimum(np.arange(n_dim + 1) - max(0, -offset), len(values)), 0)
+    indices = np.arange(len(values)) + max(0, offset)
+    return sparse.csr_array((values, indices, indptr), shape=(n_dim, n_dim))
+
+
+def _sparse_generators(params: RepParams) -> dict:
+    """The generators of `build_generators` as CSR arrays."""
+    diag, band = _ladder_bands(params)
+    band = band.astype(complex)
+    kplus, kminus = _csr_band(band, -1), _csr_band(band, 1)
+    return {"K0": _csr_band(diag.astype(complex), 0), "Kplus": kplus, "Kminus": kminus,
+            "K1": 0.5 * (kplus + kminus), "K2": (kplus - kminus) / 2j}
+
+
+def _identity(n_dim: int):
+    return _csr_band(np.ones(n_dim), 0)
+
+
+def _sparse_casimir(g: dict):
+    return g["K1"] @ g["K1"] + g["K2"] @ g["K2"] - g["K0"] @ g["K0"]
+
+
 def casimir(params: RepParams) -> OperatorMatrix:
     """K1^2 + K2^2 - K0^2; equals k(1-k) times the identity on the interior."""
-    g = build_generators(params)
-    ent = g["K1"] @ g["K1"] + g["K2"] @ g["K2"] - g["K0"] @ g["K0"]
-    return OperatorMatrix(ent, hermitian=True)
+    return OperatorMatrix(_sparse_casimir(_sparse_generators(params)).toarray(), hermitian=True)
 
 
 def casimir_eigenvalue(k: float) -> float:
@@ -114,19 +169,22 @@ def casimir_eigenvalue(k: float) -> float:
     return k * (1.0 - k)
 
 
+def _sparse_ladder(params: RepParams) -> tuple:
+    """The generators, a and a+ of `composite_ladder` as CSR arrays."""
+    g = _sparse_generators(params)
+    dinv = _csr_band(1.0 / np.sqrt(g["K0"].diagonal().real + params.k).astype(complex), 0)
+    return g, dinv @ g["Kminus"], g["Kplus"] @ dinv
+
+
 def composite_ladder(params: RepParams) -> dict:
     """Oscillator operators a = (K0+k)^{-1/2} K-, a+ = K+ (K0+k)^{-1/2},
     N = K0 - k built inside the representation."""
-    k, n_dim = params.k, params.cutoff
-    g = build_generators(params)
-    dinv = 1.0 / np.sqrt(k + np.arange(n_dim) + k).astype(complex)
-    a = dinv[:, None] * g["Kminus"].entries
-    a_dag = g["Kplus"].entries * dinv[None, :]
-    nop = g["K0"].entries - k * np.eye(n_dim)
+    g, a, a_dag = _sparse_ladder(params)
+    nop = g["K0"] - params.k * _identity(params.cutoff)
     return {
-        "a": OperatorMatrix(a),
-        "a_dag": OperatorMatrix(a_dag),
-        "Nop": OperatorMatrix(nop, hermitian=True),
+        "a": OperatorMatrix(a.toarray()),
+        "a_dag": OperatorMatrix(a_dag.toarray()),
+        "Nop": OperatorMatrix(nop.toarray(), hermitian=True),
     }
 
 
@@ -136,12 +194,12 @@ def composite_qp(params: RepParams) -> dict:
     Their matrix elements are k-independent even though a, a+ are built
     from the k-dependent generators.
     """
-    lad = composite_ladder(params)
-    q = (lad["a_dag"].entries + lad["a"].entries) / np.sqrt(2.0)
-    p = 1j * (lad["a_dag"].entries - lad["a"].entries) / np.sqrt(2.0)
+    _, a, a_dag = _sparse_ladder(params)
+    q = (a_dag + a) / np.sqrt(2.0)
+    p = 1j * (a_dag - a) / np.sqrt(2.0)
     return {
-        "Qtilde": OperatorMatrix(q, hermitian=True),
-        "Ptilde": OperatorMatrix(p, hermitian=True),
+        "Qtilde": OperatorMatrix(q.toarray(), hermitian=True),
+        "Ptilde": OperatorMatrix(p.toarray(), hermitian=True),
     }
 
 
@@ -183,50 +241,52 @@ def contraction_limit(k_sequence, n1: int, n2: int):
     return rows, limits
 
 
-def oscillator_ladder(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard truncated oscillator a, a+ matrices."""
-    a = np.zeros((n_dim, n_dim), dtype=complex)
-    n = np.arange(1, n_dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a, a.conj().T
+def oscillator_ladder(n_dim: int) -> tuple:
+    """Standard truncated oscillator a, a+ as CSR arrays."""
+    root = np.sqrt(np.arange(1, n_dim)).astype(complex)
+    return _csr_band(root, 1), _csr_band(root, -1)
 
 
 def holstein_primakoff(params: RepParams) -> dict:
     """K+, K-, K0 assembled the other way round: from oscillator matrices
     via K+ = a+ sqrt(N+2k); entrywise equal to build_generators output."""
     k, n_dim = params.k, params.cutoff
+    diag, _ = _ladder_bands(params)
     a, a_dag = oscillator_ladder(n_dim)
-    root = np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex)
-    kplus = a_dag * root[None, :]
-    kminus = root[:, None] * a
-    k0 = np.diag((np.arange(n_dim) + k).astype(complex))
+    root = _csr_band(np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex), 0)
     return {
-        "Kplus": OperatorMatrix(kplus),
-        "Kminus": OperatorMatrix(kminus),
-        "K0": OperatorMatrix(k0, hermitian=True),
+        "Kplus": OperatorMatrix((a_dag @ root).toarray()),
+        "Kminus": OperatorMatrix((root @ a).toarray()),
+        "K0": OperatorMatrix(np.diag(diag.astype(complex)), hermitian=True),
     }
 
 
 def commutator_residuals(params: RepParams) -> dict:
     """Max deviation of [K0,K1]=iK2, [K0,K2]=-iK1, [K1,K2]=-iK0 on the
-    interior block, plus the Casimir deviation there."""
-    g = build_generators(params)
+    interior block, plus the Casimir deviation there.  Runs on the sparse
+    bands in O(N) time and memory."""
+    g = _sparse_generators(params)
     m = params.interior_dim
-    k0, k1, k2 = g["K0"].entries, g["K1"].entries, g["K2"].entries
+    k0, k1, k2 = g["K0"], g["K1"], g["K2"]
 
     def comm(x, y):
         return x @ y - y @ x
 
+    def interior_max(r):
+        dev = float(abs(r[:m, :m]).max())
+        if not math.isfinite(dev):
+            raise ValueError(f"operator products overflow at k = {params.k:g}")
+        return dev
+
     r1 = comm(k0, k1) - 1j * k2
     r2 = comm(k0, k2) + 1j * k1
     r3 = comm(k1, k2) + 1j * k0
-    cas = casimir(params).entries - casimir_eigenvalue(params.k) * np.eye(params.cutoff)
-    block = (slice(0, m), slice(0, m))
+    cas = _sparse_casimir(g) - casimir_eigenvalue(params.k) * _identity(params.cutoff)
     return {
-        "comm_K0_K1": float(np.max(np.abs(r1[block]))),
-        "comm_K0_K2": float(np.max(np.abs(r2[block]))),
-        "comm_K1_K2": float(np.max(np.abs(r3[block]))),
-        "casimir": float(np.max(np.abs(cas[block]))),
+        "comm_K0_K1": interior_max(r1),
+        "comm_K0_K2": interior_max(r2),
+        "comm_K1_K2": interior_max(r3),
+        "casimir": interior_max(cas),
         "interior_dim": m,
     }
 

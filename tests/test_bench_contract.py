@@ -8,6 +8,7 @@ import pytest
 
 from so12phase import coherent as co
 from so12phase import special_fn as sf
+from so12phase import su11_rep as su
 
 BENCHES = Path(__file__).resolve().parents[1] / "benches"
 
@@ -43,3 +44,27 @@ def test_amplitudes_dispatch_is_traced(monkeypatch, state, builder):
     spans = [s for s in tracer.spans if s[tracer_mod.LAYER] == "coherent.amplitudes"]
     assert [s[tracer_mod.NAME] for s in spans] == [builder]
     assert sum(spans[0][tracer_mod.COUNTS]["tried"]) >= vec.cutoff
+
+
+def test_audit_is_traced(monkeypatch):
+    # the su11_rep.* metrics read these spans; a call that bypassed the
+    # module attributes would leave its layer reading zero
+    monkeypatch.syspath_prepend(str(BENCHES))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    params = su.RepParams(0.5, 8)
+    calls = {"build_generators": "su11_rep.build",
+             "holstein_primakoff": "su11_rep.build",
+             "casimir": "su11_rep.audit",
+             "commutator_residuals": "su11_rep.audit",
+             "composite_qp": "su11_rep.build"}
+    try:
+        tracer.install()
+        for name in calls:
+            getattr(su, name)(params)
+    finally:
+        tracer.uninstall()
+    recorded = {(s[tracer_mod.NAME], s[tracer_mod.LAYER]) for s in tracer.spans}
+    for name, layer in calls.items():
+        assert ("su11_rep." + name, layer) in recorded
+    assert tracer_mod.layer_metrics(tracer, {}, set())["su11_rep.peak_alloc_mb"] > 0

@@ -1,6 +1,7 @@
 """Discrete-series matrices: ladder algebra, Casimir, composites, contraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so12phase import su11_rep as su
+from so12phase.coherent import MAX_CUTOFF
+
+K_GRID = (0.25, 0.5, 1.0, 3.0, 10.0)
 
 
 def interior(mat, m):
@@ -43,11 +47,44 @@ class TestBuildGenerators:
         assert res["comm_K0_K2"] < 1e-12 * scale
         assert res["comm_K1_K2"] < 1e-12 * scale
 
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_commutators_at_max_cutoff(self, k):
+        # the audit runs on the bands: one dense 2048^2 complex matrix alone
+        # is 64 MiB, so the 8 MiB peak pins O(N) memory
+        tracemalloc.start()
+        try:
+            res = su.commutator_residuals(su.RepParams(k, MAX_CUTOFF))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scale = k + MAX_CUTOFF
+        assert res["comm_K0_K1"] < 1e-12 * scale
+        assert res["comm_K0_K2"] < 1e-12 * scale
+        assert res["comm_K1_K2"] < 1e-12 * scale
+        assert peak < 8 * 2 ** 20
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             su.RepParams(-1.0, 16)
         with pytest.raises(ValueError):
             su.RepParams(0.5, 3)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(ValueError):
+            su.RepParams(k, 8)
+
+    @pytest.mark.parametrize("fn,k", [
+        (su.build_generators, 1e308),   # K1 would hold inf+nanj
+        (su.composite_ladder, 1e308),   # a would hold 0 * inf = nan
+        (su.holstein_primakoff, 1e308),
+        (su.casimir, 1e200),            # K0^2 overflows: -inf+nanj entries
+        (su.commutator_residuals, 1e200),
+    ], ids=["build_generators", "composite_ladder", "holstein_primakoff", "casimir",
+            "commutator_residuals"])
+    def test_overflow_raises(self, fn, k):
+        with pytest.raises(ValueError):
+            fn(su.RepParams(k, 8))
 
     def test_group_of_origin(self):
         assert su.RepParams(2.0, 8).group_of_origin == "SO(1,2)"
@@ -221,8 +258,56 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             su.OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
 
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[0.0, math.inf], [0.0, 0.0]],   # deviation and tolerance both inf
+    ], ids=["nan", "inf"])
+    def test_hermitian_flag_rejects_non_finite(self, entries):
+        with pytest.raises(ValueError):
+            su.OperatorMatrix(np.array(entries), hermitian=True)
+
     def test_serialization_roundtrip(self):
         g = su.build_generators(su.RepParams(0.5, 4))
         blob = su.serialize_operator(g["K2"])
         back = np.array([complex(re, im) for re, im in blob["entries"]]).reshape(4, 4)
         assert np.array_equal(back, g["K2"].entries)
+
+
+@pytest.mark.parametrize("k", K_GRID)
+@pytest.mark.parametrize("n_dim", [8, 64, 256])
+class TestSparseMatchesDense:
+    """The L3 products run on sparse bands; the references here are the
+    dense products of `build_generators` output."""
+
+    def test_composites(self, k, n_dim):
+        p = su.RepParams(k, n_dim)
+        g = su.build_generators(p)
+        kplus, kminus, k0 = g["Kplus"].entries, g["Kminus"].entries, g["K0"].entries
+        dinv = 1.0 / np.sqrt(np.diag(k0).real + k).astype(complex)
+        a = dinv[:, None] * kminus
+        a_dag = kplus * dinv[None, :]
+        lad = su.composite_ladder(p)
+        assert np.array_equal(lad["a"].entries, a)
+        assert np.array_equal(lad["a_dag"].entries, a_dag)
+        assert np.array_equal(lad["Nop"].entries, k0 - k * np.eye(n_dim))
+        qp = su.composite_qp(p)
+        assert np.array_equal(qp["Qtilde"].entries, (a_dag + a) / np.sqrt(2.0))
+        assert np.array_equal(qp["Ptilde"].entries, 1j * (a_dag - a) / np.sqrt(2.0))
+
+    def test_holstein_primakoff(self, k, n_dim):
+        p = su.RepParams(k, n_dim)
+        osc = np.zeros((n_dim, n_dim), dtype=complex)
+        n = np.arange(1, n_dim)
+        osc[n - 1, n] = np.sqrt(n)
+        root = np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex)
+        hp = su.holstein_primakoff(p)
+        assert np.array_equal(hp["Kplus"].entries, osc.conj().T * root[None, :])
+        assert np.array_equal(hp["Kminus"].entries, root[:, None] * osc)
+        assert np.array_equal(hp["K0"].entries, su.build_generators(p)["K0"].entries)
+
+    def test_casimir(self, k, n_dim):
+        p = su.RepParams(k, n_dim)
+        g = su.build_generators(p)
+        ref = g["K1"] @ g["K1"] + g["K2"] @ g["K2"] - g["K0"] @ g["K0"]
+        dev = np.max(np.abs(su.casimir(p).entries - ref))
+        assert dev <= 1e-12 * (k + n_dim) ** 2
