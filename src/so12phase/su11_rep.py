@@ -7,13 +7,9 @@ the basis is truncated at dimension N, operator identities that mix raising
 and lowering are exact only on the interior block (indices 0..N-3); every
 checker in this module reports that block size.
 
-Every operator is banded, so the products (Casimir, commutators, composite
-and Holstein-Primakoff operators) are formed on `scipy.sparse` CSR arrays in
-O(N) time and memory.  `commutator_residuals` never leaves the sparse form;
-the functions that return an `OperatorMatrix` make it dense once at the end.
-`build_generators` builds its dense matrices directly: at the small cutoffs
-of state-vector reads the sparse constructors' fixed cost outweighs the
-saving.
+Every operator is banded: an `OperatorMatrix` keeps its nonzero diagonals,
+and products are formed on `scipy.sparse` CSR arrays and handed over by their
+diagonals (`commutator_residuals` never leaves the sparse form).
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ class RepParams:
     def __post_init__(self):
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ValueError("Bargmann index k must be positive and finite")
-        if self.cutoff < 4:
-            raise ValueError("cutoff must be at least 4")
+        if not hasattr(type(self.cutoff), "__index__") or self.cutoff < 4:
+            raise ValueError(f"cutoff must be an integer of at least 4, not {self.cutoff!r}")
 
     @property
     def group_of_origin(self) -> str:
@@ -60,28 +56,37 @@ class RepParams:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix in the number basis with hermiticity metadata.
+    """Complex matrix in the number basis, stored by its nonzero diagonals.
 
-    Every L3 function returns its operators in this dense form, although the
-    audits compute them on sparse bands.  A matrix flagged hermitian that is
-    not, or holds a non-finite entry, raises ValueError.
-    """
+    `bands` maps an offset d to entries[i, i+d].  A matrix flagged hermitian
+    that is not, or holds a non-finite entry, raises ValueError."""
 
     entries: np.ndarray
     hermitian: bool = field(default=False)
+    bands: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("OperatorMatrix must be square")
-        if self.hermitian:
-            scale = np.max(np.abs(arr))
-            dev = np.max(np.abs(arr - arr.conj().T))
-            # negated so that a nan deviation fails; an inf entry whose mirror
-            # is finite gives dev = tol = inf, hence the scale check
-            if not (dev <= HERMITICITY_TOL * max(1.0, scale) and math.isfinite(scale)):
+        if self.bands is None:  # dense input: read its nonzero diagonals off it
+            arr = np.asarray(self.entries, dtype=complex)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValueError("OperatorMatrix must be square")
+            rows, cols = np.nonzero(arr)
+            object.__setattr__(self, "entries", arr)
+            object.__setattr__(self, "bands", {int(d): arr.diagonal(d) for d in np.unique(cols - rows)})
+        if self.hermitian:  # np.max keeps a nan; a non-finite scale skips inf - inf
+            scale = np.max([np.max(np.abs(v)) for v in self.bands.values()], initial=0.0)
+            dev = max((np.max(np.abs(v - np.conj(self.bands.get(-d, 0.0))))
+                       for d, v in self.bands.items()), default=0.0) if math.isfinite(scale) else math.nan
+            if not dev <= HERMITICITY_TOL * max(1.0, scale):
                 raise ValueError(f"hermitian flag set but deviation {dev:g} at scale {scale:g}")
+
+    @classmethod
+    def from_bands(cls, bands: dict, dim: int, hermitian: bool = False) -> "OperatorMatrix":
+        """The dim x dim matrix whose diagonal d holds bands[d], made dense here."""
+        entries = np.zeros((dim, dim), dtype=complex)
+        for d, v in bands.items():  # a strided view of one diagonal
+            entries.reshape(-1)[max(d, -d * dim)::dim + 1][:len(v)] = v
+        return cls(entries, hermitian, bands)
 
     @property
     def dim(self) -> int:
@@ -92,7 +97,11 @@ class OperatorMatrix:
         return self.entries @ o
 
     def expectation(self, vec: np.ndarray) -> complex:
-        return complex(np.vdot(vec, self.entries @ vec))
+        """<vec|A|vec> as a sum of one vdot per band."""
+        if len(vec) != self.dim:
+            raise ValueError(f"vector of length {len(vec)} for a {self.dim} x {self.dim} matrix")
+        return complex(sum(np.vdot(vec[max(0, -d):][:len(v)], v * vec[max(0, d):][:len(v)])
+                           for d, v in self.bands.items()))
 
 
 def _ladder_bands(params: RepParams) -> tuple[np.ndarray, np.ndarray]:
@@ -113,17 +122,13 @@ def build_generators(params: RepParams) -> dict:
     K1 = (K+ + K-)/2 and K2 = (K+ - K-)/(2i).
     """
     diag, band = _ladder_bands(params)
-    k0 = np.diag(diag.astype(complex))
-    kplus = np.diag(band.astype(complex), -1)
-    kminus = kplus.conj().T
-    k1 = 0.5 * (kplus + kminus)
-    k2 = (kplus - kminus) / 2j
+    n_dim = params.cutoff
     return {
-        "K0": OperatorMatrix(k0, hermitian=True),
-        "Kplus": OperatorMatrix(kplus),
-        "Kminus": OperatorMatrix(kminus),
-        "K1": OperatorMatrix(k1, hermitian=True),
-        "K2": OperatorMatrix(k2, hermitian=True),
+        "K0": OperatorMatrix.from_bands({0: diag}, n_dim, hermitian=True),
+        "Kplus": OperatorMatrix.from_bands({-1: band}, n_dim),
+        "Kminus": OperatorMatrix.from_bands({1: band}, n_dim),
+        "K1": OperatorMatrix.from_bands({-1: 0.5 * band, 1: 0.5 * band}, n_dim, hermitian=True),
+        "K2": OperatorMatrix.from_bands({-1: band / 2j, 1: -band / 2j}, n_dim, hermitian=True),
     }
 
 
@@ -151,6 +156,13 @@ def _sparse_generators(params: RepParams) -> dict:
             "K1": 0.5 * (kplus + kminus), "K2": (kplus - kminus) / 2j}
 
 
+def _from_csr(m, hermitian: bool = False) -> OperatorMatrix:
+    """The OperatorMatrix of CSR array `m`, handed over by its diagonals."""
+    coo = m.tocoo()
+    bands = {int(d): m.diagonal(d) for d in np.unique(coo.col - coo.row)}
+    return OperatorMatrix.from_bands(bands, m.shape[0], hermitian)
+
+
 def _identity(n_dim: int):
     return _csr_band(np.ones(n_dim), 0)
 
@@ -161,7 +173,7 @@ def _sparse_casimir(g: dict):
 
 def casimir(params: RepParams) -> OperatorMatrix:
     """K1^2 + K2^2 - K0^2; equals k(1-k) times the identity on the interior."""
-    return OperatorMatrix(_sparse_casimir(_sparse_generators(params)).toarray(), hermitian=True)
+    return _from_csr(_sparse_casimir(_sparse_generators(params)), hermitian=True)
 
 
 def casimir_eigenvalue(k: float) -> float:
@@ -182,9 +194,9 @@ def composite_ladder(params: RepParams) -> dict:
     g, a, a_dag = _sparse_ladder(params)
     nop = g["K0"] - params.k * _identity(params.cutoff)
     return {
-        "a": OperatorMatrix(a.toarray()),
-        "a_dag": OperatorMatrix(a_dag.toarray()),
-        "Nop": OperatorMatrix(nop.toarray(), hermitian=True),
+        "a": _from_csr(a),
+        "a_dag": _from_csr(a_dag),
+        "Nop": _from_csr(nop, hermitian=True),
     }
 
 
@@ -198,8 +210,8 @@ def composite_qp(params: RepParams) -> dict:
     q = (a_dag + a) / np.sqrt(2.0)
     p = 1j * (a_dag - a) / np.sqrt(2.0)
     return {
-        "Qtilde": OperatorMatrix(q.toarray(), hermitian=True),
-        "Ptilde": OperatorMatrix(p.toarray(), hermitian=True),
+        "Qtilde": _from_csr(q, hermitian=True),
+        "Ptilde": _from_csr(p, hermitian=True),
     }
 
 
@@ -255,9 +267,9 @@ def holstein_primakoff(params: RepParams) -> dict:
     a, a_dag = oscillator_ladder(n_dim)
     root = _csr_band(np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex), 0)
     return {
-        "Kplus": OperatorMatrix((a_dag @ root).toarray()),
-        "Kminus": OperatorMatrix((root @ a).toarray()),
-        "K0": OperatorMatrix(np.diag(diag.astype(complex)), hermitian=True),
+        "Kplus": _from_csr(a_dag @ root),
+        "Kminus": _from_csr(root @ a),
+        "K0": OperatorMatrix.from_bands({0: diag}, n_dim, hermitian=True),
     }
 
 

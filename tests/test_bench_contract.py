@@ -4,6 +4,7 @@ name and raises when one is missing; the library must keep every one."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from so12phase import coherent as co
@@ -68,3 +69,20 @@ def test_audit_is_traced(monkeypatch):
     for name, layer in calls.items():
         assert ("su11_rep." + name, layer) in recorded
     assert tracer_mod.layer_metrics(tracer, {}, set())["su11_rep.peak_alloc_mb"] > 0
+
+
+def test_expectation_is_traced(monkeypatch):
+    # the su11_rep.expectation.* metrics of state_oracle read this span
+    monkeypatch.syspath_prepend(str(BENCHES))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    k0 = su.build_generators(su.RepParams(0.5, 8))["K0"]
+    vec = np.ones(8, dtype=complex)
+    try:
+        tracer.install()
+        val = k0.expectation(vec)
+    finally:
+        tracer.uninstall()
+    assert val == pytest.approx(8 * 0.5 + 28)
+    assert ("su11_rep.OperatorMatrix.expectation", "su11_rep.expectation") in {
+        (s[tracer_mod.NAME], s[tracer_mod.LAYER]) for s in tracer.spans}

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,34 @@ class TestBuildGenerators:
     def test_overflow_raises(self, fn, k):
         with pytest.raises(ValueError):
             fn(su.RepParams(k, 8))
+
+    def test_non_integral_cutoff_rejected(self):
+        with pytest.raises(ValueError):
+            su.RepParams(0.5, 8.5)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        # coherent state vectors report their cutoff as a numpy integer
+        p = su.RepParams(0.5, np.int64(8))
+        assert su.build_generators(p)["K0"].dim == 8
+        assert su.commutator_residuals(p)["interior_dim"] == 6
+
+    def test_overflow_raises_without_warning(self):
+        # the non-finite Casimir entries are caught before any inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                su.casimir(su.RepParams(1e200, 8))
+
+    def test_build_memory_is_the_outputs(self):
+        # five dense 1024^2 complex outputs are 16 MiB each; the bound leaves
+        # no room for an N^2 temporary beside them
+        tracemalloc.start()
+        try:
+            su.build_generators(su.RepParams(1.0, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 16 * 2 ** 20 + 2 ** 20
 
     def test_group_of_origin(self):
         assert su.RepParams(2.0, 8).group_of_origin == "SO(1,2)"
@@ -311,3 +340,32 @@ class TestSparseMatchesDense:
         ref = g["K1"] @ g["K1"] + g["K2"] @ g["K2"] - g["K0"] @ g["K0"]
         dev = np.max(np.abs(su.casimir(p).entries - ref))
         assert dev <= 1e-12 * (k + n_dim) ** 2
+
+
+def _operators(p):
+    ops = dict(su.build_generators(p))
+    ops["casimir"] = su.casimir(p)
+    for fn in (su.composite_ladder, su.composite_qp, su.holstein_primakoff):
+        ops.update({fn.__name__ + "." + name: op for name, op in fn(p).items()})
+    return ops
+
+
+@pytest.mark.parametrize("k", K_GRID)
+@pytest.mark.parametrize("n_dim", [8, 64, 256])
+def test_banded_expectation_matches_dense(k, n_dim):
+    rng = np.random.default_rng(n_dim)
+    vec = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
+    for name, op in _operators(su.RepParams(k, n_dim)).items():
+        dense = np.vdot(vec, op.entries @ vec)
+        assert op.expectation(vec) == pytest.approx(dense, rel=1e-13), name
+
+
+def test_dense_input_expectation():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    herm = su.OperatorMatrix(m + m.conj().T, hermitian=True)
+    vec = rng.normal(size=5) + 1j * rng.normal(size=5)
+    assert herm.expectation(vec) == pytest.approx(np.vdot(vec, herm.entries @ vec), rel=1e-13)
+    assert sorted(herm.bands) == list(range(-4, 5))
+    with pytest.raises(ValueError):
+        herm.expectation(np.ones(6))
