@@ -40,8 +40,8 @@ class _CoherentState:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise ValueError("k must be positive and finite")
         object.__setattr__(self, self.PARAM, complex(self.parameter))
 
     @property
@@ -322,6 +322,8 @@ def bg_number_prob(k: float, z, n: int) -> float:
 
 def perelomov_expectations(k: float, lam) -> dict:
     """Closed-form moments in a displacement-operator state."""
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError("k must be positive and finite")
     lam = complex(lam)
     r = abs(lam)
     if r >= 1.0:
@@ -401,6 +403,8 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
 def sg_expectations(k: float, alpha) -> dict:
     """Moments of the composite-annihilation eigenstates: the K0 moments
     are oscillator-like while K1, K2 involve the series sums h1, h2."""
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError("k must be positive and finite")
     alpha = complex(alpha)
     r = abs(alpha)
     beta = cmath.phase(alpha)

@@ -79,8 +79,8 @@ def g_k(k: float, w) -> EvalResult:
     Real w >= 0 there is exp(log_g_k), which raises OverflowError once the
     value passes the largest double.
     """
-    if k <= 0:
-        raise DomainError("g_k requires k > 0")
+    if not (k > 0 and math.isfinite(k)):
+        raise DomainError("g_k requires a finite k > 0")
     w = complex(w)
     if 2.0 * math.sqrt(abs(w)) > 600.0:
         if abs(w.imag) == 0.0 and w.real >= 0.0:
@@ -110,8 +110,8 @@ def log_g_k(k: float, w: float) -> float:
     safe far beyond floating overflow and for large k."""
     if w < 0:
         raise DomainError("log_g_k requires w >= 0")
-    if k <= 0:
-        raise DomainError("log_g_k requires k > 0")
+    if not (k > 0 and math.isfinite(k)):
+        raise DomainError("log_g_k requires a finite k > 0")
     if w == 0.0:
         return 0.0
     # peak term index, then accumulate relative to the running maximum
@@ -140,8 +140,8 @@ def rho_k(k: float, x: float) -> float:
     Strictly below 1 for all finite x when k >= 1/4; for k in (0, 1/4) no
     bound is asserted and the value may exceed 1.
     """
-    if k <= 0:
-        raise DomainError("rho_k requires k > 0")
+    if not (k > 0 and math.isfinite(k)):
+        raise DomainError("rho_k requires a finite k > 0")
     if x < 0:
         raise DomainError("rho_k requires x >= 0")
     if x == 0.0:

@@ -8,8 +8,8 @@ and lowering are exact only on the interior block (indices 0..N-3); every
 checker in this module reports that block size.
 
 Every operator is banded: an `OperatorMatrix` keeps its nonzero diagonals,
-and products are formed on `scipy.sparse` CSR arrays and handed over by their
-diagonals (`commutator_residuals` never leaves the sparse form).
+and every product and linear combination is formed on those bands (`_product`,
+`_combine`) in O(N) time; only the `entries` handed to callers are dense.
 """
 
 from __future__ import annotations
@@ -54,16 +54,17 @@ class RepParams:
         return self.cutoff - 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Complex matrix in the number basis, stored by its nonzero diagonals.
 
     `bands` maps an offset d to entries[i, i+d].  A matrix flagged hermitian
-    that is not, or holds a non-finite entry, raises ValueError."""
+    that is not, or holds a non-finite entry, raises ValueError.  Matrices
+    compare by identity."""
 
     entries: np.ndarray
     hermitian: bool = field(default=False)
-    bands: dict | None = field(default=None, repr=False, compare=False)
+    bands: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.bands is None:  # dense input: read its nonzero diagonals off it
@@ -104,76 +105,68 @@ class OperatorMatrix:
                            for d, v in self.bands.items()))
 
 
-def _ladder_bands(params: RepParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal k+n of K0 and band sqrt((2k+n)(n+1)) of K+ (below the
-    diagonal) and K- (above it): the one place the matrix elements are
-    written.  Raises ValueError once the band overflows."""
-    k, n = params.k, np.arange(params.cutoff)
-    band = np.sqrt((2 * k + n[:-1]) * (n[:-1] + 1))
-    if not math.isfinite(band[-1]):  # the band grows with n
-        raise ValueError(f"ladder matrix elements overflow at k = {k:g}")
-    return k + n, band
-
-
-def build_generators(params: RepParams) -> dict:
-    """K0, K+, K-, K1, K2 on the truncated basis.
+def _generator_bands(params: RepParams) -> dict:
+    """Bands of K0, K+, K-, K1 and K2: the one place the matrix elements are
+    written.  Raises ValueError once the ladder band overflows.
 
     K0 = diag(k+n); <k,n+1|K+|k,n> = sqrt((2k+n)(n+1)); K- = K+^dagger;
     K1 = (K+ + K-)/2 and K2 = (K+ - K-)/(2i).
     """
-    diag, band = _ladder_bands(params)
-    n_dim = params.cutoff
-    return {
-        "K0": OperatorMatrix.from_bands({0: diag}, n_dim, hermitian=True),
-        "Kplus": OperatorMatrix.from_bands({-1: band}, n_dim),
-        "Kminus": OperatorMatrix.from_bands({1: band}, n_dim),
-        "K1": OperatorMatrix.from_bands({-1: 0.5 * band, 1: 0.5 * band}, n_dim, hermitian=True),
-        "K2": OperatorMatrix.from_bands({-1: band / 2j, 1: -band / 2j}, n_dim, hermitian=True),
-    }
+    k, n = params.k, np.arange(params.cutoff)
+    band = np.sqrt((2 * k + n[:-1]) * (n[:-1] + 1))
+    if not math.isfinite(band[-1]):  # the band grows with n
+        raise ValueError(f"ladder matrix elements overflow at k = {k:g}")
+    return {"K0": {0: k + n}, "Kplus": {-1: band}, "Kminus": {1: band},
+            "K1": {-1: 0.5 * band, 1: 0.5 * band}, "K2": {-1: band / 2j, 1: -band / 2j}}
 
 
-def _csr_band(values: np.ndarray, offset: int):
-    """Square CSR array holding `values` on the diagonal `offset` in
-    {-1, 0, 1}.  Built from its index arrays: scipy's `diags_array(...,
-    format="csr")` goes through DIA and costs about four times as much."""
-    # imported here, on first use: about 18 ms that callers who never audit
-    # (the state-vector and moment paths) need not pay
-    from scipy import sparse
-
-    n_dim = len(values) + abs(offset)
-    # two ufuncs rather than np.clip, whose own overhead is about 9 us a call
-    indptr = np.maximum(np.minimum(np.arange(n_dim + 1) - max(0, -offset), len(values)), 0)
-    indices = np.arange(len(values)) + max(0, offset)
-    return sparse.csr_array((values, indices, indptr), shape=(n_dim, n_dim))
+def build_generators(params: RepParams) -> dict:
+    """K0, K+, K-, K1, K2 on the truncated basis (see `_generator_bands`)."""
+    return {name: OperatorMatrix.from_bands(bands, params.cutoff, hermitian=name in ("K0", "K1", "K2"))
+            for name, bands in _generator_bands(params).items()}
 
 
-def _sparse_generators(params: RepParams) -> dict:
-    """The generators of `build_generators` as CSR arrays."""
-    diag, band = _ladder_bands(params)
-    band = band.astype(complex)
-    kplus, kminus = _csr_band(band, -1), _csr_band(band, 1)
-    return {"K0": _csr_band(diag.astype(complex), 0), "Kplus": kplus, "Kminus": kminus,
-            "K1": 0.5 * (kplus + kminus), "K2": (kplus - kminus) / 2j}
+def _rows(band: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
+    """View of the entries [i, i+d] of band d for rows lo <= i < hi."""
+    return band[lo - max(0, -d):hi - max(0, -d)]
 
 
-def _from_csr(m, hermitian: bool = False) -> OperatorMatrix:
-    """The OperatorMatrix of CSR array `m`, handed over by its diagonals."""
-    coo = m.tocoo()
-    bands = {int(d): m.diagonal(d) for d in np.unique(coo.col - coo.row)}
-    return OperatorMatrix.from_bands(bands, m.shape[0], hermitian)
+def _product(a: dict, b: dict, dim: int) -> dict:
+    """Bands of A @ B: (AB)[i, i+da+db] += A[i, i+da] * B[i+da, i+da+db], one
+    slice product per pair of bands, each entry summed in ascending da.
+    Overflow is left to the callers' finiteness checks."""
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for da in sorted(a):
+            for db, vb in b.items():
+                d = da + db
+                lo, hi = max(0, -da, -d), min(dim, dim - da, dim - d)  # rows all three bands reach
+                if lo < hi:
+                    acc = _rows(out.setdefault(d, np.zeros(dim - abs(d), dtype=complex)), d, lo, hi)
+                    acc += _rows(a[da], da, lo, hi) * _rows(vb, db, lo + da, hi + da)
+    return out
 
 
-def _identity(n_dim: int):
-    return _csr_band(np.ones(n_dim), 0)
+def _combine(*terms) -> dict:
+    """Bands of sum_j c_j M_j from (c_j, bands of M_j) pairs; a band that
+    cancels to zero is dropped."""
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, bands in terms:
+            for d, v in bands.items():
+                out[d] = out[d] + c * v if d in out else c * v
+    return {d: v for d, v in out.items() if v.any()}
 
 
-def _sparse_casimir(g: dict):
-    return g["K1"] @ g["K1"] + g["K2"] @ g["K2"] - g["K0"] @ g["K0"]
+def _casimir_bands(g: dict, dim: int) -> dict:
+    return _combine((1, _product(g["K1"], g["K1"], dim)), (1, _product(g["K2"], g["K2"], dim)),
+                    (-1, _product(g["K0"], g["K0"], dim)))
 
 
 def casimir(params: RepParams) -> OperatorMatrix:
     """K1^2 + K2^2 - K0^2; equals k(1-k) times the identity on the interior."""
-    return _from_csr(_sparse_casimir(_sparse_generators(params)), hermitian=True)
+    bands = _casimir_bands(_generator_bands(params), params.cutoff)
+    return OperatorMatrix.from_bands(bands, params.cutoff, hermitian=True)
 
 
 def casimir_eigenvalue(k: float) -> float:
@@ -181,22 +174,22 @@ def casimir_eigenvalue(k: float) -> float:
     return k * (1.0 - k)
 
 
-def _sparse_ladder(params: RepParams) -> tuple:
-    """The generators, a and a+ of `composite_ladder` as CSR arrays."""
-    g = _sparse_generators(params)
-    dinv = _csr_band(1.0 / np.sqrt(g["K0"].diagonal().real + params.k).astype(complex), 0)
-    return g, dinv @ g["Kminus"], g["Kplus"] @ dinv
+def _composite_bands(params: RepParams) -> tuple:
+    """The generator bands and those of a and a+ of `composite_ladder`."""
+    g, n_dim = _generator_bands(params), params.cutoff
+    dinv = {0: 1.0 / np.sqrt(g["K0"][0] + params.k)}
+    return g, _product(dinv, g["Kminus"], n_dim), _product(g["Kplus"], dinv, n_dim)
 
 
 def composite_ladder(params: RepParams) -> dict:
     """Oscillator operators a = (K0+k)^{-1/2} K-, a+ = K+ (K0+k)^{-1/2},
     N = K0 - k built inside the representation."""
-    g, a, a_dag = _sparse_ladder(params)
-    nop = g["K0"] - params.k * _identity(params.cutoff)
+    g, a, a_dag = _composite_bands(params)
+    n_dim = params.cutoff
     return {
-        "a": _from_csr(a),
-        "a_dag": _from_csr(a_dag),
-        "Nop": _from_csr(nop, hermitian=True),
+        "a": OperatorMatrix.from_bands(a, n_dim),
+        "a_dag": OperatorMatrix.from_bands(a_dag, n_dim),
+        "Nop": OperatorMatrix.from_bands({0: g["K0"][0] - params.k}, n_dim, hermitian=True),
     }
 
 
@@ -206,12 +199,12 @@ def composite_qp(params: RepParams) -> dict:
     Their matrix elements are k-independent even though a, a+ are built
     from the k-dependent generators.
     """
-    _, a, a_dag = _sparse_ladder(params)
-    q = (a_dag + a) / np.sqrt(2.0)
-    p = 1j * (a_dag - a) / np.sqrt(2.0)
+    _, a, a_dag = _composite_bands(params)
+    s = 1 / np.sqrt(2.0)
     return {
-        "Qtilde": _from_csr(q, hermitian=True),
-        "Ptilde": _from_csr(p, hermitian=True),
+        "Qtilde": OperatorMatrix.from_bands(_combine((s, a_dag), (s, a)), params.cutoff, hermitian=True),
+        "Ptilde": OperatorMatrix.from_bands(_combine((1j * s, a_dag), (-1j * s, a)), params.cutoff,
+                                            hermitian=True),
     }
 
 
@@ -254,46 +247,46 @@ def contraction_limit(k_sequence, n1: int, n2: int):
 
 
 def oscillator_ladder(n_dim: int) -> tuple:
-    """Standard truncated oscillator a, a+ as CSR arrays."""
-    root = np.sqrt(np.arange(1, n_dim)).astype(complex)
-    return _csr_band(root, 1), _csr_band(root, -1)
+    """Bands of the standard truncated oscillator a, a+."""
+    root = np.sqrt(np.arange(1, n_dim))
+    return {1: root}, {-1: root}
 
 
 def holstein_primakoff(params: RepParams) -> dict:
     """K+, K-, K0 assembled the other way round: from oscillator matrices
     via K+ = a+ sqrt(N+2k); entrywise equal to build_generators output."""
     k, n_dim = params.k, params.cutoff
-    diag, _ = _ladder_bands(params)
+    k0 = _generator_bands(params)["K0"]
     a, a_dag = oscillator_ladder(n_dim)
-    root = _csr_band(np.sqrt(np.arange(n_dim) + 2.0 * k).astype(complex), 0)
+    root = {0: np.sqrt(np.arange(n_dim) + 2.0 * k)}
     return {
-        "Kplus": _from_csr(a_dag @ root),
-        "Kminus": _from_csr(root @ a),
-        "K0": OperatorMatrix.from_bands({0: diag}, n_dim, hermitian=True),
+        "Kplus": OperatorMatrix.from_bands(_product(a_dag, root, n_dim), n_dim),
+        "Kminus": OperatorMatrix.from_bands(_product(root, a, n_dim), n_dim),
+        "K0": OperatorMatrix.from_bands(k0, n_dim, hermitian=True),
     }
 
 
 def commutator_residuals(params: RepParams) -> dict:
     """Max deviation of [K0,K1]=iK2, [K0,K2]=-iK1, [K1,K2]=-iK0 on the
-    interior block, plus the Casimir deviation there.  Runs on the sparse
-    bands in O(N) time and memory."""
-    g = _sparse_generators(params)
-    m = params.interior_dim
+    interior block, plus the Casimir deviation there.  Runs on the bands
+    in O(N) time and memory."""
+    g, n_dim, m = _generator_bands(params), params.cutoff, params.interior_dim
     k0, k1, k2 = g["K0"], g["K1"], g["K2"]
 
     def comm(x, y):
-        return x @ y - y @ x
+        return _combine((1, _product(x, y, n_dim)), (-1, _product(y, x, n_dim)))
 
-    def interior_max(r):
-        dev = float(abs(r[:m, :m]).max())
+    def interior_max(r):  # band d's interior block is v[:m - |d|]; np.max keeps a nan
+        peaks = [np.max(np.abs(v[:m - abs(d)]), initial=0.0) for d, v in r.items()]
+        dev = float(np.max(peaks, initial=0.0))
         if not math.isfinite(dev):
             raise ValueError(f"operator products overflow at k = {params.k:g}")
         return dev
 
-    r1 = comm(k0, k1) - 1j * k2
-    r2 = comm(k0, k2) + 1j * k1
-    r3 = comm(k1, k2) + 1j * k0
-    cas = _sparse_casimir(g) - casimir_eigenvalue(params.k) * _identity(params.cutoff)
+    r1 = _combine((1, comm(k0, k1)), (-1j, k2))
+    r2 = _combine((1, comm(k0, k2)), (1j, k1))
+    r3 = _combine((1, comm(k1, k2)), (1j, k0))
+    cas = _combine((1, _casimir_bands(g, n_dim)), (-casimir_eigenvalue(params.k), {0: np.ones(n_dim)}))
     return {
         "comm_K0_K1": interior_max(r1),
         "comm_K0_K2": interior_max(r2),

@@ -586,3 +586,19 @@ class TestSerialization:
         assert blob["cutoff"] == vec.cutoff == len(blob["coeffs"])
         assert blob["tail_norm"] == vec.tail_norm
         assert [complex(*c) for c in blob["coeffs"]] == list(vec.coeffs)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [
+    lambda k: co.BGState(k, 1.0),
+    lambda k: co.PerelomovState(k, 0.5),
+    lambda k: co.SGState(k, 1.0),
+    lambda k: co.bg_expectations(k, 1.0),
+    lambda k: co.perelomov_expectations(k, 0.5),
+    lambda k: co.sg_expectations(k, 1.0),
+], ids=["BGState", "PerelomovState", "SGState", "bg_expectations", "perelomov_expectations",
+        "sg_expectations"])
+def test_non_finite_k_rejected(make, k):
+    # a nan k used to grow a BG state to MAX_CUTOFF and report CutoffExhausted
+    with pytest.raises(ValueError, match="k"):
+        make(k)

@@ -141,3 +141,11 @@ class TestRhoK:
 
     def test_small_x_form(self):
         assert sf.rho_k(0.75, 1e-3) == pytest.approx(sf.rho_k_small_x(0.75, 1e-3), rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [sf.g_k, sf.log_g_k, sf.rho_k], ids=["g_k", "log_g_k", "rho_k"])
+def test_non_finite_k_rejected(fn, k):
+    # log_g_k(inf, 1) returned 0.0 and log_g_k(nan, 1) returned nan
+    with pytest.raises(sf.DomainError):
+        fn(k, 1.0)

@@ -1,6 +1,10 @@
 """Discrete-series matrices: ladder algebra, Casimir, composites, contraction."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -295,6 +299,12 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             su.OperatorMatrix(np.array(entries), hermitian=True)
 
+    def test_equality_is_identity(self):
+        # a field-wise __eq__ would compare the entries arrays and raise
+        op = su.build_generators(su.RepParams(0.5, 8))["K0"]
+        assert op == op
+        assert not op == su.build_generators(su.RepParams(0.5, 8))["K0"]
+
     def test_serialization_roundtrip(self):
         g = su.build_generators(su.RepParams(0.5, 4))
         blob = su.serialize_operator(g["K2"])
@@ -305,8 +315,8 @@ class TestOperatorMatrix:
 @pytest.mark.parametrize("k", K_GRID)
 @pytest.mark.parametrize("n_dim", [8, 64, 256])
 class TestSparseMatchesDense:
-    """The L3 products run on sparse bands; the references here are the
-    dense products of `build_generators` output."""
+    """The L3 products run on the band dicts (`su._product`, `su._combine`);
+    the references here are the dense products of `build_generators` output."""
 
     def test_composites(self, k, n_dim):
         p = su.RepParams(k, n_dim)
@@ -369,3 +379,50 @@ def test_dense_input_expectation():
     assert sorted(herm.bands) == list(range(-4, 5))
     with pytest.raises(ValueError):
         herm.expectation(np.ones(6))
+
+
+@st.composite
+def _band_pair(draw):
+    dim = draw(st.integers(4, 16))
+    entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+    def bands():
+        offsets = draw(st.sets(st.integers(-3, 3), max_size=4))
+        return {d: np.array(draw(st.lists(entry, min_size=dim - abs(d), max_size=dim - abs(d))),
+                            dtype=complex) for d in offsets}
+
+    return dim, bands(), bands(), draw(entry), draw(entry)
+
+
+def _dense(bands, dim):
+    return su.OperatorMatrix.from_bands(bands, dim).entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_band_pair())
+def test_band_algebra_matches_dense(case):
+    dim, a, b, ca, cb = case
+    da, db = _dense(a, dim), _dense(b, dim)
+    # relative to the sums of |terms|, which bound the rounding of either order
+    for got, ref, scale in (
+            (_dense(su._product(a, b, dim), dim), da @ db, np.abs(da) @ np.abs(db)),
+            (_dense(su._combine((ca, a), (cb, b)), dim), ca * da + cb * db,
+             abs(ca) * np.abs(da) + abs(cb) * np.abs(db))):
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+def test_audit_never_imports_scipy_sparse():
+    # the state-vector and moment paths share the process; sparse costs ~18 ms to import
+    code = textwrap.dedent("""
+        import sys
+        from so12phase import su11_rep as su
+        p = su.RepParams(0.5, 8)
+        for fn in (su.build_generators, su.composite_ladder, su.composite_qp,
+                   su.holstein_primakoff, su.casimir, su.commutator_residuals):
+            fn(p)
+        print("scipy.sparse" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(su.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
