@@ -40,8 +40,7 @@ class _CoherentState:
     k: float
 
     def __post_init__(self):
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValueError("k must be positive and finite")
+        sf.check_k(self.k)
         object.__setattr__(self, self.PARAM, complex(self.parameter))
 
     @property
@@ -246,6 +245,7 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
     the sum of (2k+n)^{-1/2} over the number distribution, else the
     Laplace-transform integral evaluated in log domain (substituting t = s^2
     removes the endpoint singularity)."""
+    sf.check_k(k)
     r2 = z_mod * z_mod
     if z_mod <= 20.0:
         n = _window(z_mod)
@@ -316,14 +316,14 @@ def bg_overlap(k: float, z2, z1) -> complex:
 
 def bg_number_prob(k: float, z, n: int) -> float:
     """|z|^{2n} / ((2k)_n n! g_k(|z|^2)), a normalized distribution in n."""
+    sf.check_k(k)
     r2 = abs(complex(z)) ** 2
     return float(np.exp(_bg_log_weight(k, r2, n) - sf.log_g_k(k, r2)))
 
 
 def perelomov_expectations(k: float, lam) -> dict:
     """Closed-form moments in a displacement-operator state."""
-    if not (k > 0 and math.isfinite(k)):
-        raise ValueError("k must be positive and finite")
+    sf.check_k(k)
     lam = complex(lam)
     r = abs(lam)
     if r >= 1.0:
@@ -388,6 +388,7 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     diff = 1/2 + <delta> + <(sqrt(a) - h1)^2>.  No term of size x^2 is
     subtracted, so h and diff keep full relative precision at large |alpha|.
     """
+    sf.check_k(k)
     x = alpha_mod ** 2
     n = _window(x)
     p = _distribution(_sg_log_weight(x, n))
@@ -403,8 +404,7 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
 def sg_expectations(k: float, alpha) -> dict:
     """Moments of the composite-annihilation eigenstates: the K0 moments
     are oscillator-like while K1, K2 involve the series sums h1, h2."""
-    if not (k > 0 and math.isfinite(k)):
-        raise ValueError("k must be positive and finite")
+    sf.check_k(k)
     alpha = complex(alpha)
     r = abs(alpha)
     beta = cmath.phase(alpha)
@@ -428,59 +428,39 @@ def sg_expectations(k: float, alpha) -> dict:
     }
 
 
-def sg_asymptotics(k: float, alpha_modulus: float, order: int = 2) -> dict:
+def sg_asymptotics(k: float, alpha_modulus: float) -> dict:
     """Large-|alpha| expansions of h1, h1^2, h2, h2 - h1^2 and h.
 
     h1_sq is the square of the h1 series and diff is h2 minus it, both to
     the same order; the tests pin the coefficients to Poisson sums."""
+    sf.check_k(k)
     if alpha_modulus < 5.0:
         raise ValueError("asymptotic branch needs |alpha| >= 5")
-    if order > 2:
-        raise ValueError("expansions implemented to order 2")
     x = alpha_modulus
     ix2 = x ** -2.0
     c14 = -0.5 * k * k + 3.0 * k / 8.0 - 7.0 / 128.0
-    h1 = x * (1.0 + (k - 0.125) * ix2 + (c14 * ix2 * ix2 if order >= 2 else 0.0))
-    h1_sq = x * x * (1.0 + (2.0 * k - 0.25) * ix2
-                     + ((0.5 * k - 3.0 / 32.0) * ix2 * ix2 if order >= 2 else 0.0))
-    h2 = x * x * (1.0 + (2.0 * k + 0.5) * ix2
-                  - (0.125 * ix2 * ix2 if order >= 2 else 0.0))
-    diff = 0.75 - ((0.5 * k + 1.0 / 32.0) * ix2 if order >= 1 else 0.0)
-    h = 0.25 * x * x * (1.0 + ((2.0 * k + 0.25) * ix2 if order >= 1 else 0.0))
+    h1 = x * (1.0 + (k - 0.125) * ix2 + c14 * ix2 * ix2)
+    h1_sq = x * x * (1.0 + (2.0 * k - 0.25) * ix2 + (0.5 * k - 3.0 / 32.0) * ix2 * ix2)
+    h2 = x * x * (1.0 + (2.0 * k + 0.5) * ix2 - 0.125 * ix2 * ix2)
+    diff = 0.75 - (0.5 * k + 1.0 / 32.0) * ix2
+    h = 0.25 * x * x * (1.0 + (2.0 * k + 0.25) * ix2)
     return {"h1": h1, "h1_sq": h1_sq, "h2": h2, "diff": diff, "h": h,
             "c1_minus4": c14}
-
-
-def _cross_series(u, step) -> complex:
-    """sum_n t_n with t_0 = 1 and t_{n+1} = t_n step(u, n), stopped once a
-    term falls below 1e-17 of the partial sum.  Raises OverflowError once
-    the partial sum is no longer finite."""
-    u = complex(u)
-    acc = 0.0 + 0.0j
-    t = 1.0 + 0.0j
-    n = 0
-    while True:
-        acc += t
-        if not cmath.isfinite(acc):
-            raise OverflowError(f"cross kernel series overflows at |u| = {abs(u):g}")
-        t *= step(u, n)
-        n += 1
-        if n > 4 and abs(t) < 1e-17 * max(abs(acc), 1e-300):
-            break
-        if n > sf.SERIES_MAX_TERMS:
-            break
-    return acc
 
 
 def cross_kernel_C(k: float, u) -> complex:
     """C_k(u) = sum_n u^n / (sqrt((2k)_n) n!), the line between the
     composite-oscillator and lowering-eigenstate families."""
-    return _cross_series(u, lambda u, n: u / ((n + 1.0) * math.sqrt(2.0 * k + n)))
+    sf.check_k(k)
+    u = complex(u)
+    return sf.ratio_series(lambda n: u / ((n + 1.0) * math.sqrt(2.0 * k + n))).value
 
 
 def cross_kernel_D(k: float, u) -> complex:
     """D_k(u) = sum_n sqrt((2k)_n) u^n / n!."""
-    return _cross_series(u, lambda u, n: u * math.sqrt(2.0 * k + n) / (n + 1.0))
+    sf.check_k(k)
+    u = complex(u)
+    return sf.ratio_series(lambda n: u * math.sqrt(2.0 * k + n) / (n + 1.0)).value
 
 
 def _times_exp(kernel: complex, log_scale: float) -> complex:
@@ -496,6 +476,7 @@ def cross_overlaps(k: float, alpha, z, lam) -> dict:
     """All pairwise scalar products between the three families, each
     assembled in log domain: e^{-|alpha|^2/2} underflows beyond
     |alpha| ~ 38.6 while the kernels grow."""
+    sf.check_k(k)
     alpha, z, lam = complex(alpha), complex(z), complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("|lambda| must be < 1")

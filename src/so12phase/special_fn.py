@@ -1,28 +1,30 @@
 """Special-function kernel.
 
 The transcendental functions behind the closed-form moments and overlaps in
-`coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` for large real
-w) and the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its small-
-and large-x forms).
+`coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` in log domain
+for real w) and the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its
+small- and large-x forms).  `check_k` is the one test of the index k.
 
-Series are summed with Kahan compensation and stop when a term falls below
-1e-16 of the partial sum (or after 10^4 terms).  The reported error estimate
-is the magnitude of the last term summed plus 2^-52 sum_n n |t_n|, n counting
-from 1: the first part bounds the truncation, the second the rounding, which
-dominates wherever the terms cancel (negative or complex w).  Term n is built
-by n - 1 rounded recurrence steps, so its rounding grows with n.
+Every term-ratio series, `g_k` here and the cross kernels C_k and D_k in
+`coherent`, is summed by `ratio_series`: Kahan-compensated, stopped when a
+term falls below 1e-16 of the partial sum (or after 10^4 terms).  The
+reported error estimate is the magnitude of the last term summed plus
+2^-52 sum_n n |t_n|, n counting from 1: the first part bounds the truncation,
+the second the rounding, which dominates wherever the terms cancel (negative
+or complex w).  Term n is built by n - 1 rounded recurrence steps, so its
+rounding grows with n.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 10_000
+_STOP_FLOOR = SERIES_RTOL * 1e-300
 LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
@@ -34,75 +36,62 @@ class EvalResult:
     abs_error_estimate: float
     terms_used: int
 
-    @property
-    def real(self) -> float:
-        return float(np.real(self.value))
-
 
 class DomainError(ValueError):
     """Argument outside the range the evaluation branch supports."""
 
 
-def _kahan_sum(terms):
-    """Kahan-compensated sum of a term iterator.
+def check_k(k: float) -> None:
+    """Raise DomainError unless the index k is positive and finite."""
+    if not (k > 0 and math.isfinite(k)):
+        raise DomainError(f"k must be positive and finite, not {k!r}")
 
-    The iterator yields successive series terms; summation stops by the
-    module-wide rule.  Returns (value, error_estimate, n_terms), the estimate
-    being the last term's magnitude plus 2^-52 sum_n n |t_n|.
+
+def ratio_series(ratio) -> EvalResult:
+    """sum_n t_n with t_0 = 1 and t_{n+1} = t_n ratio(n), Kahan-compensated
+    and stopped by the module-wide rule, with its error estimate and the
+    number of terms summed.
+
+    Raises OverflowError once the partial sum is not finite; the message
+    names the function that defined `ratio`.
     """
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    n = 0
-    last = 0.0
-    mass = 0.0
-    for t in terms:
-        n += 1
+    total = comp = 0.0 + 0.0j
+    t = 1.0 + 0.0j
+    rounding = 0.0  # 2^-52 sum_n n |t_n|, scaled per term so it cannot overflow first
+    for n in range(1, SERIES_MAX_TERMS + 1):
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
+        if not cmath.isfinite(total):
+            caller = ratio.__qualname__.partition(".<locals>")[0]
+            raise OverflowError(f"{caller} series overflows: partial sum not finite at term {n}")
         last = abs(t)
-        mass += n * last
-        if n >= 2 and last <= SERIES_RTOL * max(abs(total), 1e-300):
+        rounding += 2.0 ** -52 * n * last
+        # last <= SERIES_RTOL max(|total|, 1e-300), without a max() call per term
+        if (last <= SERIES_RTOL * abs(total) or last <= _STOP_FLOOR) and n >= 2:
             break
-        if n >= SERIES_MAX_TERMS:
-            break
-    return total, last + 2.0 ** -52 * mass, n
+        t *= ratio(n - 1)
+    return EvalResult(total, last + rounding, n)
 
 
 def g_k(k: float, w) -> EvalResult:
-    """The entire kernel 0F1(2k; w) = sum_n w^n / ((2k)_n n!).
+    """The entire kernel 0F1(2k; w) = sum_n w^n / ((2k)_n n!), one
+    `ratio_series`; real w gives a real value.
 
-    For real w >= 0 this equals Gamma(2k) w^{(1-2k)/2} I_{2k-1}(2 sqrt(w)).
-    Complex w is evaluated by the same series; arguments with
-    2 sqrt|w| > 600 overflow the direct series and raise OverflowError.
-    Real w >= 0 there is exp(log_g_k), which raises OverflowError once the
-    value passes the largest double.
+    For real w >= 0 this equals Gamma(2k) w^{(1-2k)/2} I_{2k-1}(2 sqrt(w)); the
+    terms are positive, and w of any size is summed until the value itself
+    passes the largest double, which raises OverflowError.  Elsewhere the
+    terms cancel while their peak grows like e^{2 sqrt|w|}, which overflows
+    long before the value does, so non-real or negative w with
+    2 sqrt|w| > 600 raises OverflowError.
     """
-    if not (k > 0 and math.isfinite(k)):
-        raise DomainError("g_k requires a finite k > 0")
+    check_k(k)
     w = complex(w)
-    if 2.0 * math.sqrt(abs(w)) > 600.0:
-        if abs(w.imag) == 0.0 and w.real >= 0.0:
-            log_g = log_g_k(k, w.real)
-            if log_g <= LOG_DBL_MAX:
-                # log_g carries a few ulp of itself; exp makes that relative
-                value = math.exp(log_g)
-                return EvalResult(value, 32.0 * 2.0 ** -52 * log_g * value, 1)
-        raise OverflowError("g_k overflows for |w| this large")
-
-    def terms():
-        t = 1.0 + 0.0j
-        n = 0
-        while True:
-            yield t
-            t *= w / ((2.0 * k + n) * (n + 1.0))
-            n += 1
-
-    val, err, n = _kahan_sum(terms())
-    if w.imag == 0.0:
-        return EvalResult(val.real, err, n)
-    return EvalResult(val, err, n)
+    if 2.0 * math.sqrt(abs(w)) > 600.0 and not (w.imag == 0.0 and w.real >= 0.0):
+        raise OverflowError("g_k overflows for non-real or negative w with |w| this large")
+    res = ratio_series(lambda n: w / ((2.0 * k + n) * (n + 1.0)))
+    return replace(res, value=res.value.real) if w.imag == 0.0 else res
 
 
 def log_g_k(k: float, w: float) -> float:
@@ -110,8 +99,7 @@ def log_g_k(k: float, w: float) -> float:
     safe far beyond floating overflow and for large k."""
     if w < 0:
         raise DomainError("log_g_k requires w >= 0")
-    if not (k > 0 and math.isfinite(k)):
-        raise DomainError("log_g_k requires a finite k > 0")
+    check_k(k)
     if w == 0.0:
         return 0.0
     # peak term index, then accumulate relative to the running maximum
@@ -140,8 +128,7 @@ def rho_k(k: float, x: float) -> float:
     Strictly below 1 for all finite x when k >= 1/4; for k in (0, 1/4) no
     bound is asserted and the value may exceed 1.
     """
-    if not (k > 0 and math.isfinite(k)):
-        raise DomainError("rho_k requires a finite k > 0")
+    check_k(k)
     if x < 0:
         raise DomainError("rho_k requires x >= 0")
     if x == 0.0:
@@ -159,14 +146,9 @@ def rho_k(k: float, x: float) -> float:
     return r
 
 
-def rho_k_asymptotic(k: float, x: float, order: int = 2) -> float:
+def rho_k_asymptotic(k: float, x: float) -> float:
     """Large-x expansion 1 - (4k-1)/(4x) + (16(k^2-k)+3)/(32 x^2)."""
-    out = 1.0
-    if order >= 1:
-        out -= (4.0 * k - 1.0) / (4.0 * x)
-    if order >= 2:
-        out += (16.0 * (k * k - k) + 3.0) / (32.0 * x * x)
-    return out
+    return 1.0 - (4.0 * k - 1.0) / (4.0 * x) + (16.0 * (k * k - k) + 3.0) / (32.0 * x * x)
 
 
 def rho_k_small_x(k: float, x: float) -> float:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special_fn import check_k
+
 HERMITICITY_TOL = 1e-14
 
 
@@ -34,8 +36,7 @@ class RepParams:
     cutoff: int
 
     def __post_init__(self):
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValueError("Bargmann index k must be positive and finite")
+        check_k(self.k)
         if not hasattr(type(self.cutoff), "__index__") or self.cutoff < 4:
             raise ValueError(f"cutoff must be an integer of at least 4, not {self.cutoff!r}")
 
@@ -210,8 +211,9 @@ def composite_qp(params: RepParams) -> dict:
 
 def number_state_stats(k: float, n: int) -> dict:
     """Closed-form moments of K1, K2 in the number state |k,n>."""
-    if k <= 0 or n < 0:
-        raise ValueError("need k > 0 and n >= 0")
+    check_k(k)
+    if n < 0:
+        raise ValueError("need n >= 0")
     var = 0.5 * (n * n + 2.0 * n * k + k)
     return {
         "mean_K1": 0.0,

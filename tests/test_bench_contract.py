@@ -86,3 +86,18 @@ def test_expectation_is_traced(monkeypatch):
     assert val == pytest.approx(8 * 0.5 + 28)
     assert ("su11_rep.OperatorMatrix.expectation", "su11_rep.expectation") in {
         (s[tracer_mod.NAME], s[tracer_mod.LAYER]) for s in tracer.spans}
+
+
+def test_g_k_terms_are_traced(monkeypatch):
+    # the special_fn.g_k.* metrics of state_oracle read this span and its
+    # terms count, which g_k takes from the EvalResult it returns
+    monkeypatch.syspath_prepend(str(BENCHES))
+    tracer_mod = importlib.import_module("tracer")
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        co.bg_overlap(0.5, 3 + 1j, 3)
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s[tracer_mod.NAME] == "special_fn.g_k"]
+    assert len(spans) == 1 and spans[0][tracer_mod.COUNTS]["terms"] > 0

@@ -6,8 +6,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from so12phase import coherent as co
 from so12phase import special_fn as sf
+from so12phase import su11_rep as su
 
 
 class TestGk:
@@ -62,8 +66,9 @@ class TestGk:
 
     @pytest.mark.parametrize("k", [0.05, 0.5, 3.0, 50.0])
     def test_log_domain_branch(self, k):
-        # real w with 2 sqrt(w) > 600 goes through exp(log_g_k): the estimate
-        # bounds the error, and a value beyond the largest double raises
+        # real w with 2 sqrt(w) > 600 is summed by the series like any real
+        # w >= 0: the estimate bounds the error, and a value beyond the
+        # largest double raises
         for y in np.linspace(601.0, 800.0, 12):
             w = (y / 2) ** 2
             if sf.log_g_k(k, w) > sf.LOG_DBL_MAX:
@@ -74,6 +79,32 @@ class TestGk:
             with mp.workdps(60):
                 err = abs(float(mp.mpf(res.value) - mp.hyp0f1(2 * k, w)))
             assert err <= res.abs_error_estimate, (k, w)
+
+    @pytest.mark.parametrize("k", [0.05, 0.5, 3.0, 10.0])
+    def test_large_real_argument_by_series(self, k):
+        # positive terms keep full relative precision; exp(log g) would turn
+        # log g's own rounding, a few ulp of ~700, into up to 8.5e-13 of g
+        for y in (601.0, 650.0, 700.0):
+            w = (y / 2) ** 2
+            with mp.workdps(60):
+                ref = mp.hyp0f1(2 * k, w)
+            assert float(abs((mp.mpf(sf.g_k(k, w).value) - ref) / ref)) <= 1e-14, (k, y)
+
+
+class TestRatioSeries:
+    @given(st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_exponential_within_estimate(self, c):
+        # exp at 40 digits: cmath.exp's own last-bit error reaches 0.8 of the
+        # estimate for |c| ~ 1e-2
+        res = sf.ratio_series(lambda n: c / (n + 1))
+        with mp.workdps(40):
+            err = abs(mp.mpc(res.value) - mp.exp(mp.mpc(c)))
+        assert err <= res.abs_error_estimate
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError, match="test_overflow_raises"):
+            sf.ratio_series(lambda n: 1e300)
 
 
 K_GRID = (0.05, 0.25, 0.5, 1.0, 3.0, 10.0, 50.0)
@@ -149,3 +180,33 @@ def test_non_finite_k_rejected(fn, k):
     # log_g_k(inf, 1) returned 0.0 and log_g_k(nan, 1) returned nan
     with pytest.raises(sf.DomainError):
         fn(k, 1.0)
+
+
+K_CHECKED = {
+    "RepParams": lambda k: su.RepParams(k, 8),
+    "BGState": lambda k: co.BGState(k, 1.0),
+    "PerelomovState": lambda k: co.PerelomovState(k, 0.5),
+    "SGState": lambda k: co.SGState(k, 1.0),
+    "g_k": lambda k: sf.g_k(k, 1.0),
+    "log_g_k": lambda k: sf.log_g_k(k, 1.0),
+    "rho_k": lambda k: sf.rho_k(k, 1.0),
+    "perelomov_expectations": lambda k: co.perelomov_expectations(k, 0.5),
+    "sg_expectations": lambda k: co.sg_expectations(k, 1.0),
+    "sg_sums": lambda k: co.sg_sums(k, 1.0),
+    "inv_sqrt_k0_expectation": lambda k: co.inv_sqrt_k0_expectation(k, 1.0),
+    "bg_number_prob": lambda k: co.bg_number_prob(k, 1.0, 0),
+    "cross_kernel_C": lambda k: co.cross_kernel_C(k, 1.0),
+    "cross_kernel_D": lambda k: co.cross_kernel_D(k, 1.0),
+    "cross_overlaps": lambda k: co.cross_overlaps(k, 1.0, 1.0, 0.5),
+    "sg_asymptotics": lambda k: co.sg_asymptotics(k, 10.0),
+    "number_state_stats": lambda k: su.number_state_stats(k, 0),
+}
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("name", list(K_CHECKED))
+def test_check_k_guards_every_entry_point(name, k):
+    # sg_sums(nan, 1) returned nan, sg_asymptotics(-1, 10) a value and
+    # cross_kernel_C(0, 1) raised ZeroDivisionError
+    with pytest.raises(sf.DomainError, match="k must be positive and finite"):
+        K_CHECKED[name](k)
