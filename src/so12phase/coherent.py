@@ -246,6 +246,8 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
     Laplace-transform integral evaluated in log domain (substituting t = s^2
     removes the endpoint singularity)."""
     sf.check_k(k)
+    if not 0.0 <= z_mod < math.inf:
+        raise sf.DomainError(f"inv_sqrt_k0_expectation requires a finite |z| >= 0, not {z_mod!r}")
     r2 = z_mod * z_mod
     if z_mod <= 20.0:
         n = _window(z_mod)
@@ -309,6 +311,8 @@ def bg_expectations(k: float, z) -> dict:
 def bg_overlap(k: float, z2, z1) -> complex:
     """<k,z2|k,z1> = g_k(conj(z2) z1) / sqrt(g_k(|z2|^2) g_k(|z1|^2))."""
     z1, z2 = complex(z1), complex(z2)
+    sf.check_finite("z2", z2)
+    sf.check_finite("z1", z1)
     num = sf.g_k(k, np.conj(z2) * z1).value
     log_den = 0.5 * (sf.log_g_k(k, abs(z2) ** 2) + sf.log_g_k(k, abs(z1) ** 2))
     return num * math.exp(-log_den)
@@ -368,6 +372,7 @@ def bose_statistics(lambda_modulus: float, n: int) -> float:
     displacement states."""
     if not (0.0 < lambda_modulus < 1.0):
         raise ValueError("need 0 < |lambda| < 1")
+    sf.check_n(n)
     x = lambda_modulus ** 2
     return (1.0 - x) * x ** n
 
@@ -453,6 +458,7 @@ def cross_kernel_C(k: float, u) -> complex:
     composite-oscillator and lowering-eigenstate families."""
     sf.check_k(k)
     u = complex(u)
+    sf.check_finite("u", u)
     return sf.ratio_series(lambda n: u / ((n + 1.0) * math.sqrt(2.0 * k + n))).value
 
 
@@ -460,6 +466,7 @@ def cross_kernel_D(k: float, u) -> complex:
     """D_k(u) = sum_n sqrt((2k)_n) u^n / n!."""
     sf.check_k(k)
     u = complex(u)
+    sf.check_finite("u", u)
     return sf.ratio_series(lambda n: u * math.sqrt(2.0 * k + n) / (n + 1.0)).value
 
 

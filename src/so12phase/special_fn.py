@@ -3,7 +3,9 @@
 The transcendental functions behind the closed-form moments and overlaps in
 `coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` in log domain
 for real w) and the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its
-small- and large-x forms).  `check_k` is the one test of the index k.
+small- and large-x forms).  `check_k` is the one test of the index k,
+`check_n` that of a quantum number and `check_finite` that of a complex
+argument.
 
 Every term-ratio series, `g_k` here and the cross kernels C_k and D_k in
 `coherent`, is summed by `ratio_series`: Kahan-compensated, stopped when a
@@ -47,6 +49,18 @@ def check_k(k: float) -> None:
         raise DomainError(f"k must be positive and finite, not {k!r}")
 
 
+def check_n(n: int) -> None:
+    """Raise DomainError unless the quantum number n is a non-negative integer."""
+    if not (hasattr(type(n), "__index__") and n >= 0):
+        raise DomainError(f"n must be a non-negative integer, not {n!r}")
+
+
+def check_finite(name: str, value: complex) -> None:
+    """Raise DomainError naming the argument `name` unless `value` is finite."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, not {value!r}")
+
+
 def ratio_series(ratio) -> EvalResult:
     """sum_n t_n with t_0 = 1 and t_{n+1} = t_n ratio(n), Kahan-compensated
     and stopped by the module-wide rule, with its error estimate and the
@@ -88,6 +102,7 @@ def g_k(k: float, w) -> EvalResult:
     """
     check_k(k)
     w = complex(w)
+    check_finite("w", w)
     if 2.0 * math.sqrt(abs(w)) > 600.0 and not (w.imag == 0.0 and w.real >= 0.0):
         raise OverflowError("g_k overflows for non-real or negative w with |w| this large")
     res = ratio_series(lambda n: w / ((2.0 * k + n) * (n + 1.0)))
@@ -97,8 +112,8 @@ def g_k(k: float, w) -> EvalResult:
 def log_g_k(k: float, w: float) -> float:
     """log 0F1(2k; w) for real w >= 0: the series summed in log domain,
     safe far beyond floating overflow and for large k."""
-    if w < 0:
-        raise DomainError("log_g_k requires w >= 0")
+    if not 0.0 <= w < math.inf:
+        raise DomainError(f"log_g_k requires a finite w >= 0, not {w!r}")
     check_k(k)
     if w == 0.0:
         return 0.0
@@ -129,8 +144,8 @@ def rho_k(k: float, x: float) -> float:
     bound is asserted and the value may exceed 1.
     """
     check_k(k)
-    if x < 0:
-        raise DomainError("rho_k requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"rho_k requires a finite x >= 0, not {x!r}")
     if x == 0.0:
         return 0.0
     y = 2.0 * x
@@ -148,9 +163,11 @@ def rho_k(k: float, x: float) -> float:
 
 def rho_k_asymptotic(k: float, x: float) -> float:
     """Large-x expansion 1 - (4k-1)/(4x) + (16(k^2-k)+3)/(32 x^2)."""
+    check_k(k)
     return 1.0 - (4.0 * k - 1.0) / (4.0 * x) + (16.0 * (k * k - k) + 3.0) / (32.0 * x * x)
 
 
 def rho_k_small_x(k: float, x: float) -> float:
     """Small-x behaviour (x/2k)(1 - x^2/(2k(2k+1)))."""
+    check_k(k)
     return x / (2.0 * k) * (1.0 - x * x / (2.0 * k * (2.0 * k + 1.0)))

@@ -10,6 +10,9 @@ checker in this module reports that block size.
 Every operator is banded: an `OperatorMatrix` keeps its nonzero diagonals,
 and every product and linear combination is formed on those bands (`_product`,
 `_combine`) in O(N) time; only the `entries` handed to callers are dense.
+The dtype follows the bands: K0, K+-, K1 and every operator built from real
+bands are stored as float64, and only those with an imaginary band, such as
+K2, the composite momentum and the Casimir, as complex128.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special_fn import check_k
+from .special_fn import check_k, check_n
 
 HERMITICITY_TOL = 1e-14
 
@@ -57,11 +60,12 @@ class RepParams:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Complex matrix in the number basis, stored by its nonzero diagonals.
+    """Matrix in the number basis, stored by its nonzero diagonals.
 
-    `bands` maps an offset d to entries[i, i+d].  A matrix flagged hermitian
-    that is not, or holds a non-finite entry, raises ValueError.  Matrices
-    compare by identity."""
+    `bands` maps an offset d to entries[i, i+d].  The dtype follows the
+    data: float64 when every band is real, complex128 otherwise.  A matrix
+    flagged hermitian that is not, or holds a non-finite entry, raises
+    ValueError.  Matrices compare by identity."""
 
     entries: np.ndarray
     hermitian: bool = field(default=False)
@@ -69,7 +73,8 @@ class OperatorMatrix:
 
     def __post_init__(self):
         if self.bands is None:  # dense input: read its nonzero diagonals off it
-            arr = np.asarray(self.entries, dtype=complex)
+            arr = np.asarray(self.entries)
+            arr = arr.astype(np.result_type(arr.dtype, float), copy=False)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError("OperatorMatrix must be square")
             rows, cols = np.nonzero(arr)
@@ -85,7 +90,7 @@ class OperatorMatrix:
     @classmethod
     def from_bands(cls, bands: dict, dim: int, hermitian: bool = False) -> "OperatorMatrix":
         """The dim x dim matrix whose diagonal d holds bands[d], made dense here."""
-        entries = np.zeros((dim, dim), dtype=complex)
+        entries = np.zeros((dim, dim), dtype=np.result_type(float, *bands.values()))
         for d, v in bands.items():  # a strided view of one diagonal
             entries.reshape(-1)[max(d, -d * dim)::dim + 1][:len(v)] = v
         return cls(entries, hermitian, bands)
@@ -135,15 +140,16 @@ def _rows(band: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
 def _product(a: dict, b: dict, dim: int) -> dict:
     """Bands of A @ B: (AB)[i, i+da+db] += A[i, i+da] * B[i+da, i+da+db], one
     slice product per pair of bands, each entry summed in ascending da.
-    Overflow is left to the callers' finiteness checks."""
-    out = {}
+    The bands are real when all of A's and B's are.  Overflow is left to the
+    callers' finiteness checks."""
+    out, dtype = {}, np.result_type(float, *a.values(), *b.values())
     with np.errstate(over="ignore", invalid="ignore"):
         for da in sorted(a):
             for db, vb in b.items():
                 d = da + db
                 lo, hi = max(0, -da, -d), min(dim, dim - da, dim - d)  # rows all three bands reach
                 if lo < hi:
-                    acc = _rows(out.setdefault(d, np.zeros(dim - abs(d), dtype=complex)), d, lo, hi)
+                    acc = _rows(out.setdefault(d, np.zeros(dim - abs(d), dtype=dtype)), d, lo, hi)
                     acc += _rows(a[da], da, lo, hi) * _rows(vb, db, lo + da, hi + da)
     return out
 
@@ -212,8 +218,7 @@ def composite_qp(params: RepParams) -> dict:
 def number_state_stats(k: float, n: int) -> dict:
     """Closed-form moments of K1, K2 in the number state |k,n>."""
     check_k(k)
-    if n < 0:
-        raise ValueError("need n >= 0")
+    check_n(n)
     var = 0.5 * (n * n + 2.0 * n * k + k)
     return {
         "mean_K1": 0.0,

@@ -190,6 +190,8 @@ K_CHECKED = {
     "g_k": lambda k: sf.g_k(k, 1.0),
     "log_g_k": lambda k: sf.log_g_k(k, 1.0),
     "rho_k": lambda k: sf.rho_k(k, 1.0),
+    "rho_k_asymptotic": lambda k: sf.rho_k_asymptotic(k, 1.0),
+    "rho_k_small_x": lambda k: sf.rho_k_small_x(k, 1.0),
     "perelomov_expectations": lambda k: co.perelomov_expectations(k, 0.5),
     "sg_expectations": lambda k: co.sg_expectations(k, 1.0),
     "sg_sums": lambda k: co.sg_sums(k, 1.0),
@@ -210,3 +212,46 @@ def test_check_k_guards_every_entry_point(name, k):
     # cross_kernel_C(0, 1) raised ZeroDivisionError
     with pytest.raises(sf.DomainError, match="k must be positive and finite"):
         K_CHECKED[name](k)
+
+
+# entry point called with a bad value of one argument, and the pattern its
+# DomainError matches
+ARG_CHECKED = {
+    "g_k": (lambda v: sf.g_k(0.5, v), "w must be finite"),
+    "cross_kernel_C": (lambda v: co.cross_kernel_C(1.0, v), "u must be finite"),
+    "cross_kernel_D": (lambda v: co.cross_kernel_D(1.0, v), "u must be finite"),
+    "bg_overlap_z2": (lambda v: co.bg_overlap(0.5, v, 1.0), "z2 must be finite"),
+    "bg_overlap_z1": (lambda v: co.bg_overlap(0.5, 1.0, v), "z1 must be finite"),
+    "log_g_k": (lambda v: sf.log_g_k(1.0, v), "finite w >= 0"),
+    "rho_k": (lambda v: sf.rho_k(1.0, v), "finite x >= 0"),
+    "inv_sqrt_k0_expectation": (lambda v: co.inv_sqrt_k0_expectation(1.0, v), r"finite \|z\| >= 0"),
+    "bg_expectations": (lambda v: co.bg_expectations(1.0, v), "finite x >= 0"),
+}
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(ARG_CHECKED))
+def test_non_finite_argument_rejected(name, v):
+    # g_k(0.5, nan) raised OverflowError, inv_sqrt_k0_expectation(1, nan) ran
+    # the quadrature on nan for over 20 s and bg_expectations(1, nan) raised a
+    # bare ValueError
+    fn, match = ARG_CHECKED[name]
+    with pytest.raises(sf.DomainError, match=match):
+        fn(v)
+
+
+@pytest.mark.parametrize("name", ["log_g_k", "rho_k", "inv_sqrt_k0_expectation"])
+def test_negative_modulus_rejected(name):
+    fn, match = ARG_CHECKED[name]
+    with pytest.raises(sf.DomainError, match=match):
+        fn(-1.0)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 2.0], ids=["-1", "2.5", "2.0"])
+@pytest.mark.parametrize("fn", [lambda n: co.bose_statistics(0.5, n),
+                                lambda n: su.number_state_stats(1.0, n)],
+                         ids=["bose_statistics", "number_state_stats"])
+def test_quantum_number_must_be_a_non_negative_integer(fn, n):
+    # bose_statistics(0.5, -1) returned 3.0 and number_state_stats(1, 2.5) a value
+    with pytest.raises(sf.DomainError, match="n must be a non-negative integer"):
+        fn(n)

@@ -109,15 +109,15 @@ class TestBuildGenerators:
                 su.casimir(su.RepParams(1e200, 8))
 
     def test_build_memory_is_the_outputs(self):
-        # five dense 1024^2 complex outputs are 16 MiB each; the bound leaves
-        # no room for an N^2 temporary beside them
+        # at N = 1024 the four real outputs are 8 MiB each and K2 is 16 MiB;
+        # the bound leaves no room for an N^2 temporary beside them
         tracemalloc.start()
         try:
             su.build_generators(su.RepParams(1.0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 16 * 2 ** 20 + 2 ** 20
+        assert peak <= 4 * 8 * 2 ** 20 + 16 * 2 ** 20 + 2 ** 20
 
     def test_group_of_origin(self):
         assert su.RepParams(2.0, 8).group_of_origin == "SO(1,2)"
@@ -290,6 +290,8 @@ class TestOperatorMatrix:
     def test_hermitian_flag_enforced(self):
         with pytest.raises(ValueError):
             su.OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+        with pytest.raises(ValueError):
+            su.OperatorMatrix.from_bands({1: np.ones(3)}, 4, hermitian=True)
 
     @pytest.mark.parametrize("entries", [
         [[math.nan, 0.0], [0.0, 1.0]],
@@ -360,6 +362,43 @@ def _operators(p):
     return ops
 
 
+# every operator of `_operators` whose bands are all real
+REAL_OPERATORS = {"K0", "Kplus", "Kminus", "K1", "composite_ladder.a", "composite_ladder.a_dag",
+                  "composite_ladder.Nop", "composite_qp.Qtilde", "holstein_primakoff.Kplus",
+                  "holstein_primakoff.Kminus", "holstein_primakoff.K0"}
+
+
+@pytest.mark.parametrize("k", [0.25, 1.3])
+def test_real_operators_stored_real(k, monkeypatch):
+    p = su.RepParams(k, 64)
+    ops = _operators(p)
+    for name, op in ops.items():
+        assert op.entries.dtype == (np.float64 if name in REAL_OPERATORS else np.complex128), name
+    # the reference: every builder run on complex source bands, so that every
+    # product and every dense array is complex throughout
+    gen, osc = su._generator_bands, su.oscillator_ladder
+
+    def as_complex(bands):
+        return {d: v.astype(complex) for d, v in bands.items()}
+
+    monkeypatch.setattr(su, "_generator_bands", lambda q: {x: as_complex(b) for x, b in gen(q).items()})
+    monkeypatch.setattr(su, "oscillator_ladder", lambda n_dim: tuple(map(as_complex, osc(n_dim))))
+    for name, ref in _operators(p).items():
+        assert ref.entries.dtype == np.complex128, name
+        assert np.array_equal(ops[name].entries.astype(complex), ref.entries), name
+
+
+def test_product_of_real_and_complex_bands():
+    # a's real diagonal is met first and starts the d = 0 accumulator; its
+    # complex band 1 then adds to it through b's band -1
+    rng = np.random.default_rng(3)
+    a = {0: rng.normal(size=6), 1: rng.normal(size=5) + 1j * rng.normal(size=5)}
+    b = {0: rng.normal(size=6), -1: rng.normal(size=5)}
+    out = su._product(a, b, 6)
+    assert all(v.dtype == np.complex128 for v in out.values())
+    assert np.allclose(_dense(out, 6), _dense(a, 6) @ _dense(b, 6), rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("k", K_GRID)
 @pytest.mark.parametrize("n_dim", [8, 64, 256])
 def test_banded_expectation_matches_dense(k, n_dim):
@@ -377,6 +416,7 @@ def test_dense_input_expectation():
     vec = rng.normal(size=5) + 1j * rng.normal(size=5)
     assert herm.expectation(vec) == pytest.approx(np.vdot(vec, herm.entries @ vec), rel=1e-13)
     assert sorted(herm.bands) == list(range(-4, 5))
+    assert su.OperatorMatrix(m.real).entries.dtype == np.float64
     with pytest.raises(ValueError):
         herm.expectation(np.ones(6))
 
