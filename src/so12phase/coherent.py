@@ -42,6 +42,7 @@ class _CoherentState:
     def __post_init__(self):
         sf.check_k(self.k)
         object.__setattr__(self, self.PARAM, complex(self.parameter))
+        sf.check_finite(self.PARAM, self.parameter)
 
     @property
     def parameter(self) -> complex:
@@ -330,8 +331,8 @@ def perelomov_expectations(k: float, lam) -> dict:
     sf.check_k(k)
     lam = complex(lam)
     r = abs(lam)
-    if r >= 1.0:
-        raise ValueError("|lambda| must be < 1")
+    if not r < 1.0:
+        raise sf.DomainError(f"|lambda| must be < 1, not {lam!r}")
     th = cmath.phase(lam)
     denom = 1.0 - r * r
     k0 = k * (1.0 + r * r) / denom
@@ -378,6 +379,8 @@ def bose_statistics(lambda_modulus: float, n: int) -> float:
 
 
 def bose_mean(lambda_modulus: float) -> float:
+    if not abs(lambda_modulus) < 1.0:
+        raise sf.DomainError(f"|lambda| must be < 1, not {lambda_modulus!r}")
     x = lambda_modulus ** 2
     return x / (1.0 - x)
 
@@ -394,6 +397,7 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     subtracted, so h and diff keep full relative precision at large |alpha|.
     """
     sf.check_k(k)
+    sf.check_finite("|alpha|", alpha_mod)
     x = alpha_mod ** 2
     n = _window(x)
     p = _distribution(_sg_log_weight(x, n))
@@ -409,7 +413,6 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
 def sg_expectations(k: float, alpha) -> dict:
     """Moments of the composite-annihilation eigenstates: the K0 moments
     are oscillator-like while K1, K2 involve the series sums h1, h2."""
-    sf.check_k(k)
     alpha = complex(alpha)
     r = abs(alpha)
     beta = cmath.phase(alpha)
@@ -439,8 +442,8 @@ def sg_asymptotics(k: float, alpha_modulus: float) -> dict:
     h1_sq is the square of the h1 series and diff is h2 minus it, both to
     the same order; the tests pin the coefficients to Poisson sums."""
     sf.check_k(k)
-    if alpha_modulus < 5.0:
-        raise ValueError("asymptotic branch needs |alpha| >= 5")
+    if not 5.0 <= alpha_modulus < math.inf:
+        raise sf.DomainError(f"asymptotic branch needs a finite |alpha| >= 5, not {alpha_modulus!r}")
     x = alpha_modulus
     ix2 = x ** -2.0
     c14 = -0.5 * k * k + 3.0 * k / 8.0 - 7.0 / 128.0
@@ -459,7 +462,8 @@ def cross_kernel_C(k: float, u) -> complex:
     sf.check_k(k)
     u = complex(u)
     sf.check_finite("u", u)
-    return sf.ratio_series(lambda n: u / ((n + 1.0) * math.sqrt(2.0 * k + n))).value
+    res = sf.ratio_series(lambda n: u / ((n + 1.0) * math.sqrt(2.0 * k + n)))
+    return sf.unscaled(res, "cross_kernel_C").value
 
 
 def cross_kernel_D(k: float, u) -> complex:
@@ -467,7 +471,8 @@ def cross_kernel_D(k: float, u) -> complex:
     sf.check_k(k)
     u = complex(u)
     sf.check_finite("u", u)
-    return sf.ratio_series(lambda n: u * math.sqrt(2.0 * k + n) / (n + 1.0)).value
+    res = sf.ratio_series(lambda n: u * math.sqrt(2.0 * k + n) / (n + 1.0))
+    return sf.unscaled(res, "cross_kernel_D").value
 
 
 def _times_exp(kernel: complex, log_scale: float) -> complex:

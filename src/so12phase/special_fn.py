@@ -1,20 +1,16 @@
-"""Special-function kernel.
+"""Special-function kernel: the entire kernel 0F1(2k; w) (`g_k`, and
+`log_g_k` in log domain for real w) and the Bessel ratio I_{2k}(2x) /
+I_{2k-1}(2x) (`rho_k`, with its small- and large-x forms) behind `coherent`,
+and the checks of the index k, a quantum number and a complex argument.
 
-The transcendental functions behind the closed-form moments and overlaps in
-`coherent`: the entire kernel 0F1(2k; w) (`g_k`, and `log_g_k` in log domain
-for real w) and the Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) (`rho_k`, with its
-small- and large-x forms).  `check_k` is the one test of the index k,
-`check_n` that of a quantum number and `check_finite` that of a complex
-argument.
-
-Every term-ratio series, `g_k` here and the cross kernels C_k and D_k in
-`coherent`, is summed by `ratio_series`: Kahan-compensated, stopped when a
-term falls below 1e-16 of the partial sum (or after 10^4 terms).  The
-reported error estimate is the magnitude of the last term summed plus
-2^-52 sum_n n |t_n|, n counting from 1: the first part bounds the truncation,
-the second the rounding, which dominates wherever the terms cancel (negative
-or complex w).  Term n is built by n - 1 rounded recurrence steps, so its
-rounding grows with n.
+One engine, `ratio_series`, sums every term-ratio series: `g_k` and
+`log_g_k` here, C_k and D_k in `coherent`.  It is Kahan-compensated, stops
+when a term falls below 1e-16 of the partial sum and raises DomainError if
+SERIES_MAX_TERMS terms do not get there.  Past 2^512 the partial sum is
+divided by 2^512, exactly, and the result counts those bits in `scale`, so a
+positive series sums far beyond overflow.  The error estimate is the last
+term plus 2^-52 sum_n n |t_n|, n from 1: truncation plus the rounding of the
+n - 1 recurrence steps behind term n, which dominates where terms cancel.
 """
 
 from __future__ import annotations
@@ -22,21 +18,24 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SERIES_RTOL = 1e-16
-SERIES_MAX_TERMS = 10_000
+SERIES_MAX_TERMS = 200_000
 _STOP_FLOOR = SERIES_RTOL * 1e-300
+_RESCALE_AT = 2.0 ** 512
 LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value plus an absolute error estimate and the number of terms used."""
+    """Value plus an absolute error estimate and the number of terms used;
+    value and estimate are in units of 2^scale."""
 
     value: complex
     abs_error_estimate: float
     terms_used: int
+    scale: int = 0
 
 
 class DomainError(ValueError):
@@ -62,31 +61,41 @@ def check_finite(name: str, value: complex) -> None:
 
 
 def ratio_series(ratio) -> EvalResult:
-    """sum_n t_n with t_0 = 1 and t_{n+1} = t_n ratio(n), Kahan-compensated
-    and stopped by the module-wide rule, with its error estimate and the
-    number of terms summed.
-
-    Raises OverflowError once the partial sum is not finite; the message
-    names the function that defined `ratio`.
-    """
-    total = comp = 0.0 + 0.0j
-    t = 1.0 + 0.0j
-    rounding = 0.0  # 2^-52 sum_n n |t_n|, scaled per term so it cannot overflow first
+    """sum_n t_n with t_0 = 1 and t_{n+1} = t_n ratio(n), its error estimate,
+    the terms summed and their scale; a real ratio keeps the sum real.
+    OverflowError (partial sum not finite) and DomainError (term cap) name
+    the function that defined `ratio`."""
+    caller = ratio.__qualname__.partition(".<locals>")[0]
+    total = comp = rounding = 0.0  # rounding: 2^-52 sum_n n |t_n|
+    t, scale = 1.0, 0
     for n in range(1, SERIES_MAX_TERMS + 1):
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        if not cmath.isfinite(total):
-            caller = ratio.__qualname__.partition(".<locals>")[0]
-            raise OverflowError(f"{caller} series overflows: partial sum not finite at term {n}")
+        mod = abs(total)
+        if not mod <= _RESCALE_AT:
+            if not mod < math.inf:
+                raise OverflowError(f"{caller} series overflows: partial sum not finite at term {n}")
+            total, comp, t, rounding, mod = (v / _RESCALE_AT for v in (total, comp, t, rounding, mod))
+            scale += 512
         last = abs(t)
         rounding += 2.0 ** -52 * n * last
         # last <= SERIES_RTOL max(|total|, 1e-300), without a max() call per term
-        if (last <= SERIES_RTOL * abs(total) or last <= _STOP_FLOOR) and n >= 2:
-            break
+        if (last <= SERIES_RTOL * mod or last <= _STOP_FLOOR) and n >= 2:
+            return EvalResult(total, last + rounding, n, scale)
         t *= ratio(n - 1)
-    return EvalResult(total, last + rounding, n)
+    raise DomainError(f"{caller} series does not converge within {SERIES_MAX_TERMS} terms")
+
+
+def unscaled(res: EvalResult, name: str) -> EvalResult:
+    """`res` times 2^scale, exactly; OverflowError naming `name` once the value,
+    its estimate or a partial sum (scale >= 1024) passes the largest double."""
+    f = 2.0 ** res.scale if res.scale < 1024 else math.inf  # a power of two: exact
+    value, error = res.value * f, res.abs_error_estimate * f
+    if not (cmath.isfinite(value) and error < math.inf):
+        raise OverflowError(f"{name} overflows: the sum passes the largest double")
+    return EvalResult(value, error, res.terms_used)
 
 
 def g_k(k: float, w) -> EvalResult:
@@ -94,46 +103,29 @@ def g_k(k: float, w) -> EvalResult:
     `ratio_series`; real w gives a real value.
 
     For real w >= 0 this equals Gamma(2k) w^{(1-2k)/2} I_{2k-1}(2 sqrt(w)); the
-    terms are positive, and w of any size is summed until the value itself
-    passes the largest double, which raises OverflowError.  Elsewhere the
-    terms cancel while their peak grows like e^{2 sqrt|w|}, which overflows
-    long before the value does, so non-real or negative w with
-    2 sqrt|w| > 600 raises OverflowError.
+    terms are positive and summed in full, and a value past the largest double
+    raises OverflowError (w past about 3.6e10 meets the term cap first,
+    DomainError).  Elsewhere the terms cancel while their peak grows like
+    e^{2 sqrt|w|}, which overflows long before the value does, so non-real or
+    negative w with 2 sqrt|w| > 600 raises OverflowError.
     """
     check_k(k)
     w = complex(w)
     check_finite("w", w)
     if 2.0 * math.sqrt(abs(w)) > 600.0 and not (w.imag == 0.0 and w.real >= 0.0):
         raise OverflowError("g_k overflows for non-real or negative w with |w| this large")
-    res = ratio_series(lambda n: w / ((2.0 * k + n) * (n + 1.0)))
-    return replace(res, value=res.value.real) if w.imag == 0.0 else res
+    x = w.real if w.imag == 0.0 else w
+    return unscaled(ratio_series(lambda n: x / ((2.0 * k + n) * (n + 1.0))), "g_k")
 
 
 def log_g_k(k: float, w: float) -> float:
-    """log 0F1(2k; w) for real w >= 0: the series summed in log domain,
-    safe far beyond floating overflow and for large k."""
+    """log 0F1(2k; w) for finite real w >= 0 up to about 3.6e10 (beyond, the
+    term cap raises DomainError): `g_k`'s series, log value + scale ln 2."""
     if not 0.0 <= w < math.inf:
         raise DomainError(f"log_g_k requires a finite w >= 0, not {w!r}")
     check_k(k)
-    if w == 0.0:
-        return 0.0
-    # peak term index, then accumulate relative to the running maximum
-    logs = []
-    lt = 0.0
-    n = 0
-    lw = math.log(w)
-    peak = 0.0
-    while True:
-        logs.append(lt)
-        peak = max(peak, lt)
-        step = lw - math.log((2.0 * k + n) * (n + 1.0))
-        if step < 0 and lt - peak < -45.0:
-            break
-        lt += step
-        n += 1
-        if n > SERIES_MAX_TERMS:
-            break
-    return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
+    res = ratio_series(lambda n: w / ((2.0 * k + n) * (n + 1.0)))
+    return math.log(res.value) + res.scale * math.log(2.0)
 
 
 def rho_k(k: float, x: float) -> float:

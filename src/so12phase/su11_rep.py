@@ -236,11 +236,14 @@ def contraction_limit(k_sequence, n1: int, n2: int):
     """Matrix elements of the rescaled generators K3 = K0/k and
     Kpm/sqrt(2k) along increasing k; they converge to the oscillator
     elements as k grows."""
+    check_n(n1)
+    check_n(n2)
     ks = list(k_sequence)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k values must increase")
     rows = []
     for k in ks:
+        check_k(k)
         k3 = (1.0 + n1 / k) if n1 == n2 else 0.0
         kp = np.sqrt((1.0 + n1 / (2 * k)) * (n1 + 1)) if n2 == n1 + 1 else 0.0
         km = np.sqrt((1.0 + (n1 - 1) / (2 * k)) * n1) if n2 == n1 - 1 else 0.0

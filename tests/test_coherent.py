@@ -211,6 +211,15 @@ class TestBGNumberProb:
         ex = co.bg_expectations(0.5, 50.0)
         assert ex["var_N"] / ex["Nbar"] == pytest.approx(0.5, abs=0.02)
 
+    def test_normalization_beyond_ten_thousand_terms(self):
+        # g_k(|z|^2 = 1e8) needs about 2e4 terms; a normalization cut at 10^4
+        # gave 0.01118
+        k, z, n = 0.5, 1e4, 10000
+        with mp.workdps(40):
+            ref = float(mp.mpf(z) ** (2 * n) / (mp.rf(2 * k, n) * mp.factorial(n)
+                                                 * mp.hyp0f1(2 * k, mp.mpf(z) ** 2)))
+        assert co.bg_number_prob(k, z, n) == pytest.approx(ref, abs=1e-10)
+
 
 class TestPerelomov:
     def test_zero_parameter(self):
@@ -294,6 +303,12 @@ class TestBoseStatistics:
         lam = 0.55
         assert co.bose_mean(lam) == pytest.approx(
             co.perelomov_expectations(0.5, lam)["Nbar"], rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, math.nan, math.inf])
+    def test_mean_outside_unit_disc_rejected(self, lam):
+        # bose_mean(1.0) raised ZeroDivisionError and bose_mean(nan) returned nan
+        with pytest.raises(sf.DomainError, match=r"\|lambda\| must be < 1"):
+            co.bose_mean(lam)
 
     def test_geometric_weights_match_squared_amplitudes(self):
         lam = 0.45

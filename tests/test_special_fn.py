@@ -43,10 +43,21 @@ class TestGk:
         assert abs(res) < 1e-10 * max(1.0, abs(sf.g_k(1.0, 2.5).value))
 
     def test_log_variant_matches(self):
-        for k, w in [(0.5, 100.0), (3.0, 1e4), (50.0, 1e6), (0.5, 1e6)]:
+        # w >= 1e8 needs more than 10^4 terms; a partial sum there was off by
+        # 3.4e-5, 0.30 and 0.67 of the logarithm
+        for k, w in [(0.5, 100.0), (3.0, 1e4), (50.0, 1e6), (0.5, 1e6),
+                     (0.5, 1e8), (3.0, 9e8), (0.5, 1e10)]:
             with mp.workdps(50):
                 ref = float(mp.log(mp.hyp0f1(2 * k, w)))
-            assert sf.log_g_k(k, w) == pytest.approx(ref, rel=1e-12)
+            assert sf.log_g_k(k, w) == pytest.approx(ref, rel=1e-14)
+
+    @given(st.floats(0.05, 50.0), st.floats(-6.0, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_log_variant_over_domain(self, k, log10_w):
+        w = 10.0 ** log10_w
+        with mp.workdps(40):
+            ref = float(mp.log(mp.hyp0f1(2 * k, w)))
+        assert abs(sf.log_g_k(k, w) - ref) <= LOG_G_TOL * max(1.0, abs(ref)), (k, w)
 
     def test_complex_argument(self):
         val = sf.g_k(1.0, 2.5j).value
@@ -106,9 +117,15 @@ class TestRatioSeries:
         with pytest.raises(OverflowError, match="test_overflow_raises"):
             sf.ratio_series(lambda n: 1e300)
 
+    def test_term_cap_raises(self):
+        # a series that never meets the stop rule returned its partial sum
+        with pytest.raises(sf.DomainError, match="test_term_cap_raises"):
+            sf.ratio_series(lambda n: 1.0)
+
 
 K_GRID = (0.05, 0.25, 0.5, 1.0, 3.0, 10.0, 50.0)
 MODULUS_GRID = (1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 300.0, 1000.0)
+LOG_G_TOL = 4 * 2 ** -52  # of max(1, |log g_k|)
 
 
 class TestKernelGrid:
@@ -119,7 +136,7 @@ class TestKernelGrid:
         for m in MODULUS_GRID:
             with mp.workdps(40):
                 ref = float(mp.log(mp.hyp0f1(2 * k, m * m)))
-            assert abs(sf.log_g_k(k, m * m) - ref) <= 1e-13 * max(1.0, abs(ref)), (k, m)
+            assert abs(sf.log_g_k(k, m * m) - ref) <= LOG_G_TOL * max(1.0, abs(ref)), (k, m)
 
     @pytest.mark.parametrize("k", K_GRID)
     def test_rho_k(self, k):
@@ -226,6 +243,13 @@ ARG_CHECKED = {
     "rho_k": (lambda v: sf.rho_k(1.0, v), "finite x >= 0"),
     "inv_sqrt_k0_expectation": (lambda v: co.inv_sqrt_k0_expectation(1.0, v), r"finite \|z\| >= 0"),
     "bg_expectations": (lambda v: co.bg_expectations(1.0, v), "finite x >= 0"),
+    "BGState": (lambda v: co.BGState(1.0, v), "z must be finite"),
+    "PerelomovState": (lambda v: co.PerelomovState(1.0, v), "lam must be finite"),
+    "SGState": (lambda v: co.SGState(1.0, v), "alpha must be finite"),
+    "perelomov_expectations": (lambda v: co.perelomov_expectations(1.0, v), r"\|lambda\| must be < 1"),
+    "sg_sums": (lambda v: co.sg_sums(1.0, v), r"\|alpha\| must be finite"),
+    "sg_expectations": (lambda v: co.sg_expectations(1.0, v), r"\|alpha\| must be finite"),
+    "sg_asymptotics": (lambda v: co.sg_asymptotics(1.0, v), r"finite \|alpha\| >= 5"),
 }
 
 
@@ -234,7 +258,9 @@ ARG_CHECKED = {
 def test_non_finite_argument_rejected(name, v):
     # g_k(0.5, nan) raised OverflowError, inv_sqrt_k0_expectation(1, nan) ran
     # the quadrature on nan for over 20 s and bg_expectations(1, nan) raised a
-    # bare ValueError
+    # bare ValueError; PerelomovState(1, nan) grew to the cap,
+    # perelomov_expectations(1, nan) returned nan and sg_expectations(1, inf)
+    # raised a bare OverflowError
     fn, match = ARG_CHECKED[name]
     with pytest.raises(sf.DomainError, match=match):
         fn(v)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from so12phase import su11_rep as su
 from so12phase.coherent import MAX_CUTOFF
+from so12phase.special_fn import DomainError
 
 K_GRID = (0.25, 0.5, 1.0, 3.0, 10.0)
 
@@ -261,6 +262,16 @@ class TestContraction:
     def test_requires_increasing(self):
         with pytest.raises(ValueError):
             su.contraction_limit([2.0, 1.0], 0, 0)
+
+    @pytest.mark.parametrize("ks, n1, n2, match", [
+        ([1, 2], -3, -2, "n must be"), ([1, 2], 0, 2.5, "n must be"),
+        ([0, 1], 0, 0, "k must be"), ([1, math.nan], 0, 1, "k must be")],
+        ids=["negative-n", "non-integer-n", "zero-k", "nan-k"])
+    def test_domain_checked(self, ks, n1, n2, match):
+        # ([1, 2], -3, -2) returned nan with a RuntimeWarning and ([0, 1], 0, 0)
+        # raised ZeroDivisionError
+        with pytest.raises(DomainError, match=match):
+            su.contraction_limit(ks, n1, n2)
 
 
 class TestHolsteinPrimakoff:
