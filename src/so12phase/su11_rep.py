@@ -9,10 +9,12 @@ checker in this module reports that block size.
 
 Every operator is banded: an `OperatorMatrix` keeps its nonzero diagonals,
 and every product and linear combination is formed on those bands (`_product`,
-`_combine`) in O(N) time; only the `entries` handed to callers are dense.
-The dtype follows the bands: K0, K+-, K1 and every operator built from real
-bands are stored as float64, and only those with an imaginary band, such as
-K2, the composite momentum and the Casimir, as complex128.
+`_combine`) in O(N) time; only the read-only `entries` handed to callers are
+dense.  The dtype follows the bands: the Casimir and every operator built from
+real bands are stored as float64, and only K2 and the composite momentum, which
+have an imaginary band, as complex128.  Each adjoint pair (K+ and K-, built
+either way, and the composite a and a+) shares one dense array: K- and a+ are
+the transposed views `adjoint()` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special_fn import check_k, check_n
+from .special_fn import DomainError, check_k, check_n
 
 HERMITICITY_TOL = 1e-14
 
@@ -65,7 +67,8 @@ class OperatorMatrix:
     `bands` maps an offset d to entries[i, i+d].  The dtype follows the
     data: float64 when every band is real, complex128 otherwise.  A matrix
     flagged hermitian that is not, or holds a non-finite entry, raises
-    ValueError.  Matrices compare by identity."""
+    ValueError.  The entries of `from_bands` and `adjoint` are read-only, as a
+    matrix and its adjoint may share them.  Matrices compare by identity."""
 
     entries: np.ndarray
     hermitian: bool = field(default=False)
@@ -92,8 +95,18 @@ class OperatorMatrix:
         """The dim x dim matrix whose diagonal d holds bands[d], made dense here."""
         entries = np.zeros((dim, dim), dtype=np.result_type(float, *bands.values()))
         for d, v in bands.items():  # a strided view of one diagonal
+            if not (abs(d) < dim and len(v) == dim - abs(d)):
+                raise ValueError(f"band {d} of length {len(v)} does not fit a {dim} x {dim} matrix")
             entries.reshape(-1)[max(d, -d * dim)::dim + 1][:len(v)] = v
+        entries.flags.writeable = False
         return cls(entries, hermitian, bands)
+
+    def adjoint(self) -> "OperatorMatrix":
+        """The Hermitian adjoint, bands {-d: conj(v)}: for a real matrix a
+        transposed view of the same memory, for a complex one a new array."""
+        entries = self.entries.conj().T  # conj() of a real array is the array itself
+        entries.flags.writeable = False
+        return OperatorMatrix(entries, self.hermitian, {-d: v.conj() for d, v in self.bands.items()})
 
     @property
     def dim(self) -> int:
@@ -127,9 +140,11 @@ def _generator_bands(params: RepParams) -> dict:
 
 
 def build_generators(params: RepParams) -> dict:
-    """K0, K+, K-, K1, K2 on the truncated basis (see `_generator_bands`)."""
-    return {name: OperatorMatrix.from_bands(bands, params.cutoff, hermitian=name in ("K0", "K1", "K2"))
-            for name, bands in _generator_bands(params).items()}
+    """K0, K+, K-, K1, K2 on the truncated basis (see `_generator_bands`);
+    K- is K+'s adjoint and shares its memory."""
+    g = {name: OperatorMatrix.from_bands(bands, params.cutoff, hermitian=name in ("K0", "K1", "K2"))
+         for name, bands in _generator_bands(params).items() if name != "Kminus"}
+    return {**g, "Kminus": g["Kplus"].adjoint()}
 
 
 def _rows(band: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
@@ -166,8 +181,11 @@ def _combine(*terms) -> dict:
 
 
 def _casimir_bands(g: dict, dim: int) -> dict:
-    return _combine((1, _product(g["K1"], g["K1"], dim)), (1, _product(g["K2"], g["K2"], dim)),
-                    (-1, _product(g["K0"], g["K0"], dim)))
+    """K1^2 + K2^2 - K0^2, with K1^2 + K2^2 formed as (K+K- + K-K+)/2: the
+    same matrix, truncated or not, from real bands only."""
+    kp, km, k0 = g["Kplus"], g["Kminus"], g["K0"]
+    return _combine((0.5, _product(kp, km, dim)), (0.5, _product(km, kp, dim)),
+                    (-1, _product(k0, k0, dim)))
 
 
 def casimir(params: RepParams) -> OperatorMatrix:
@@ -178,26 +196,25 @@ def casimir(params: RepParams) -> OperatorMatrix:
 
 def casimir_eigenvalue(k: float) -> float:
     """Closed form k(1-k): zero only at k=1, maximal 1/4 at k=1/2."""
+    check_k(k)
     return k * (1.0 - k)
 
 
 def _composite_bands(params: RepParams) -> tuple:
     """The generator bands and those of a and a+ of `composite_ladder`."""
-    g, n_dim = _generator_bands(params), params.cutoff
-    dinv = {0: 1.0 / np.sqrt(g["K0"][0] + params.k)}
-    return g, _product(dinv, g["Kminus"], n_dim), _product(g["Kplus"], dinv, n_dim)
+    g = _generator_bands(params)
+    a = _product({0: 1.0 / np.sqrt(g["K0"][0] + params.k)}, g["Kminus"], params.cutoff)
+    return g, a, {-d: v.conj() for d, v in a.items()}  # a+ = K+ (K0+k)^{-1/2} is a's adjoint
 
 
 def composite_ladder(params: RepParams) -> dict:
     """Oscillator operators a = (K0+k)^{-1/2} K-, a+ = K+ (K0+k)^{-1/2},
-    N = K0 - k built inside the representation."""
-    g, a, a_dag = _composite_bands(params)
-    n_dim = params.cutoff
-    return {
-        "a": OperatorMatrix.from_bands(a, n_dim),
-        "a_dag": OperatorMatrix.from_bands(a_dag, n_dim),
-        "Nop": OperatorMatrix.from_bands({0: g["K0"][0] - params.k}, n_dim, hermitian=True),
-    }
+    N = K0 - k built inside the representation; a+ is a's adjoint and shares
+    its memory."""
+    g, a, _ = _composite_bands(params)
+    a = OperatorMatrix.from_bands(a, params.cutoff)
+    return {"a": a, "a_dag": a.adjoint(),
+            "Nop": OperatorMatrix.from_bands({0: g["K0"][0] - params.k}, params.cutoff, hermitian=True)}
 
 
 def composite_qp(params: RepParams) -> dict:
@@ -257,23 +274,22 @@ def contraction_limit(k_sequence, n1: int, n2: int):
 
 
 def oscillator_ladder(n_dim: int) -> tuple:
-    """Bands of the standard truncated oscillator a, a+."""
+    """Bands of the standard truncated oscillator a, a+ on n_dim >= 1 levels."""
+    if not (hasattr(type(n_dim), "__index__") and n_dim >= 1):
+        raise DomainError(f"n_dim must be a positive integer, not {n_dim!r}")
     root = np.sqrt(np.arange(1, n_dim))
     return {1: root}, {-1: root}
 
 
 def holstein_primakoff(params: RepParams) -> dict:
     """K+, K-, K0 assembled the other way round: from oscillator matrices
-    via K+ = a+ sqrt(N+2k); entrywise equal to build_generators output."""
-    k, n_dim = params.k, params.cutoff
-    k0 = _generator_bands(params)["K0"]
-    a, a_dag = oscillator_ladder(n_dim)
-    root = {0: np.sqrt(np.arange(n_dim) + 2.0 * k)}
-    return {
-        "Kplus": OperatorMatrix.from_bands(_product(a_dag, root, n_dim), n_dim),
-        "Kminus": OperatorMatrix.from_bands(_product(root, a, n_dim), n_dim),
-        "K0": OperatorMatrix.from_bands(k0, n_dim, hermitian=True),
-    }
+    via K+ = a+ sqrt(N+2k), and K- = K+'s adjoint, which shares its memory;
+    entrywise equal to build_generators output."""
+    n_dim = params.cutoff
+    root = {0: np.sqrt(np.arange(n_dim) + 2.0 * params.k)}
+    kplus = OperatorMatrix.from_bands(_product(oscillator_ladder(n_dim)[1], root, n_dim), n_dim)
+    return {"Kplus": kplus, "Kminus": kplus.adjoint(),
+            "K0": OperatorMatrix.from_bands(_generator_bands(params)["K0"], n_dim, hermitian=True)}
 
 
 def commutator_residuals(params: RepParams) -> dict:
@@ -307,9 +323,6 @@ def commutator_residuals(params: RepParams) -> dict:
 
 
 def serialize_operator(op: OperatorMatrix) -> dict:
-    """Row-major [re, im] pair serialization used by the file exports."""
-    return {
-        "dim": op.dim,
-        "hermitian": bool(op.hermitian),
-        "entries": [[float(z.real), float(z.imag)] for z in op.entries.ravel()],
-    }
+    """JSON-ready bands, offset -> [[re, im], ...], from which `from_bands` rebuilds the operator."""
+    return {"dim": op.dim, "hermitian": bool(op.hermitian),
+            "bands": {str(d): [[float(z.real), float(z.imag)] for z in v] for d, v in op.bands.items()}}

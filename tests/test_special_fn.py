@@ -219,6 +219,7 @@ K_CHECKED = {
     "cross_overlaps": lambda k: co.cross_overlaps(k, 1.0, 1.0, 0.5),
     "sg_asymptotics": lambda k: co.sg_asymptotics(k, 10.0),
     "number_state_stats": lambda k: su.number_state_stats(k, 0),
+    "casimir_eigenvalue": su.casimir_eigenvalue,
 }
 
 

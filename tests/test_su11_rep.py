@@ -1,5 +1,6 @@
 """Discrete-series matrices: ladder algebra, Casimir, composites, contraction."""
 
+import json
 import math
 import os
 import subprocess
@@ -110,15 +111,25 @@ class TestBuildGenerators:
                 su.casimir(su.RepParams(1e200, 8))
 
     def test_build_memory_is_the_outputs(self):
-        # at N = 1024 the four real outputs are 8 MiB each and K2 is 16 MiB;
-        # the bound leaves no room for an N^2 temporary beside them
+        # at N = 1024 K0, K+ and K1 are 8 MiB each, K- is a view of K+ and K2
+        # is 16 MiB; the bound leaves no room for an N^2 temporary beside them
         tracemalloc.start()
         try:
             su.build_generators(su.RepParams(1.0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * 2 ** 20 + 16 * 2 ** 20 + 2 ** 20
+        assert peak <= 3 * 8 * 2 ** 20 + 16 * 2 ** 20 + 2 ** 20
+
+    def test_holstein_primakoff_memory_is_the_outputs(self):
+        # at N = 1024 K+ and K0 are 8 MiB each and K- is a view of K+
+        tracemalloc.start()
+        try:
+            su.holstein_primakoff(su.RepParams(1.0, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 2 ** 20 + 2 ** 20
 
     def test_group_of_origin(self):
         assert su.RepParams(2.0, 8).group_of_origin == "SO(1,2)"
@@ -296,6 +307,18 @@ class TestHolsteinPrimakoff:
         dev = interior(cas - (3.0 / 16.0) * np.eye(16), p.interior_dim)
         assert np.max(np.abs(dev)) < 1e-12
 
+    @pytest.mark.parametrize("n_dim", [2.5, 0, -3, 4.0, "4"])
+    def test_oscillator_size_checked(self, n_dim):
+        # oscillator_ladder(2.5) returned 3-level bands and (0) empty ones
+        with pytest.raises(DomainError, match="n_dim must be a positive integer"):
+            su.oscillator_ladder(n_dim)
+
+    def test_oscillator_sizes(self):
+        assert len(su.oscillator_ladder(1)[0][1]) == 0
+        a, a_dag = su.oscillator_ladder(np.int64(4))
+        assert np.array_equal(a[1], np.sqrt([1.0, 2.0, 3.0]))
+        assert np.array_equal(a_dag[-1], a[1])
+
 
 class TestOperatorMatrix:
     def test_hermitian_flag_enforced(self):
@@ -319,10 +342,59 @@ class TestOperatorMatrix:
         assert not op == su.build_generators(su.RepParams(0.5, 8))["K0"]
 
     def test_serialization_roundtrip(self):
-        g = su.build_generators(su.RepParams(0.5, 4))
-        blob = su.serialize_operator(g["K2"])
-        back = np.array([complex(re, im) for re, im in blob["entries"]]).reshape(4, 4)
-        assert np.array_equal(back, g["K2"].entries)
+        # the blob holds the bands: at most 3N [re, im] pairs, not N^2
+        for n_dim in (4, MAX_CUTOFF):
+            g = su.build_generators(su.RepParams(0.5, n_dim))
+            for name in ("K2", "K0"):
+                blob = json.loads(json.dumps(su.serialize_operator(g[name])))
+                bands = {int(d): np.array([complex(*z) for z in v]) for d, v in blob["bands"].items()}
+                back = su.OperatorMatrix.from_bands(bands, blob["dim"], blob["hermitian"])
+                assert np.array_equal(back.entries, g[name].entries), (n_dim, name)
+                assert sum(map(len, blob["bands"].values())) <= 3 * n_dim, (n_dim, name)
+
+    @pytest.mark.parametrize("bands,dim", [
+        ({7: np.ones(3)}, 5),    # was written onto diagonal +1
+        ({-5: np.ones(1)}, 5),
+        ({1: np.ones(3)}, 5),    # too short
+        ({0: np.ones(6)}, 5),    # too long
+    ], ids=["offset_7", "offset_-5", "short", "long"])
+    def test_from_bands_rejects_misfit_band(self, bands, dim):
+        offset = next(iter(bands))
+        with pytest.raises(ValueError, match=f"band {offset} "):
+            su.OperatorMatrix.from_bands(bands, dim)
+
+    def test_entries_read_only(self):
+        p = su.RepParams(0.7, 8)
+        for name, op in _operators(p).items():
+            with pytest.raises(ValueError):
+                op.entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            su.OperatorMatrix.from_bands({0: np.ones(4)}, 4).entries[1, 1] = 2.0
+
+    @pytest.mark.parametrize("builder,x,x_dag", [
+        (su.build_generators, "Kplus", "Kminus"),
+        (su.holstein_primakoff, "Kplus", "Kminus"),
+        (su.composite_ladder, "a", "a_dag"),
+    ], ids=["build_generators", "holstein_primakoff", "composite_ladder"])
+    def test_adjoint_pairs_share_memory(self, builder, x, x_dag):
+        ops = builder(su.RepParams(1.3, 12))
+        assert np.shares_memory(ops[x].entries, ops[x_dag].entries)
+        assert np.array_equal(ops[x_dag].entries, ops[x].entries.T)
+        assert sorted(ops[x_dag].bands) == sorted(-d for d in ops[x].bands)
+        assert all(np.array_equal(ops[x_dag].bands[-d], v) for d, v in ops[x].bands.items())
+
+    @pytest.mark.parametrize("op", [
+        lambda p: su.build_generators(p)["K2"],
+        lambda p: su.composite_qp(p)["Ptilde"],
+    ], ids=["K2", "Ptilde"])
+    def test_adjoint_of_complex(self, op):
+        op = op(su.RepParams(0.8, 10))
+        adj = op.adjoint()
+        assert adj.entries.dtype == np.complex128
+        assert np.array_equal(adj.entries, op.entries.conj().T)
+        assert not np.shares_memory(adj.entries, op.entries)
+        assert sorted(adj.bands) == sorted(-d for d in op.bands)
+        assert all(np.array_equal(adj.bands[-d], np.conj(v)) for d, v in op.bands.items())
 
 
 @pytest.mark.parametrize("k", K_GRID)
@@ -374,7 +446,7 @@ def _operators(p):
 
 
 # every operator of `_operators` whose bands are all real
-REAL_OPERATORS = {"K0", "Kplus", "Kminus", "K1", "composite_ladder.a", "composite_ladder.a_dag",
+REAL_OPERATORS = {"K0", "Kplus", "Kminus", "K1", "casimir", "composite_ladder.a", "composite_ladder.a_dag",
                   "composite_ladder.Nop", "composite_qp.Qtilde", "holstein_primakoff.Kplus",
                   "holstein_primakoff.Kminus", "holstein_primakoff.K0"}
 
