@@ -5,7 +5,9 @@ displacement-operator states (parameter lambda in the unit disc), and
 eigenstates of the composite oscillator annihilation operator (parameter
 alpha).  Every closed-form statistic here has a truncated-matrix
 counterpart in the tests; state vectors grow their cutoff geometrically
-until the tail norm falls below TAIL_TOL.
+until the tail norm falls below TAIL_TOL.  A family is fixed by its number
+distribution, which its state class holds (`log_weight`, `log_norm`,
+`tail_ratio`) and the state vectors and distribution sums read.
 """
 
 from __future__ import annotations
@@ -32,12 +34,22 @@ class NormDefect(RuntimeError):
     """Assembled coefficients miss unit norm by more than TAIL_TOL."""
 
 
+def _check_unit_disc(lam) -> float:
+    r = abs(lam)
+    if not r < 1.0:
+        raise sf.DomainError(f"|lambda| must be < 1, not {lam!r}")
+    return r
+
+
 @dataclass(frozen=True)
 class _CoherentState:
     """A family's index k and its one complex parameter.  Each family names
-    the parameter's field in PARAM and itself in FAMILY."""
+    the parameter's field in PARAM and itself in FAMILY.  |c_n|^2 is
+    exp(log_weight(k, |parameter|^2, n) - log_norm()); no ratio
+    |c_{n+1}/c_n|^2 past the vector's end exceeds the last one or `tail_ratio`."""
 
     k: float
+    tail_ratio = 0.0
 
     def __post_init__(self):
         sf.check_k(self.k)
@@ -56,21 +68,40 @@ class _CoherentState:
     def arg(self) -> float:
         return cmath.phase(self.parameter)
 
+    @classmethod
+    def log_weight(cls, k: float, r2: float, n) -> np.ndarray:
+        """The family's `_log_weight`; the zero parameter puts all weight on n = 0."""
+        n = np.asarray(n, dtype=float)
+        if r2 == 0.0:
+            return np.where(n == 0, 0.0, -np.inf)
+        return cls._log_weight(k, r2, n)
+
+    def log_norm(self) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class BGState(_CoherentState):
-    """Eigenstate of the lowering operator K- with eigenvalue z."""
+    """Eigenstate of the lowering operator K- with eigenvalue z; k > 0 finite, z finite."""
 
     PARAM = "z"
     FAMILY = "bg"
     z: complex
 
+    @staticmethod
+    def _log_weight(k, r2, n):
+        """log of |z|^{2n} / ((2k)_n n!), normalized by g_k(|z|^2)."""
+        return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
+
+    def log_norm(self) -> float:
+        return sf.log_g_k(self.k, self.modulus ** 2)
+
 
 @dataclass(frozen=True)
 class PerelomovState(_CoherentState):
-    """Displacement-operator state; lambda lives strictly inside the unit
-    disc and shares its phase with the displacement parameter w, with
-    |lambda| = tanh(|w|/2)."""
+    """Displacement-operator state; k > 0 finite, lambda finite and strictly
+    inside the unit disc.  lambda shares its phase with the displacement
+    parameter w, with |lambda| = tanh(|w|/2)."""
 
     PARAM = "lam"
     FAMILY = "perelomov"
@@ -79,9 +110,19 @@ class PerelomovState(_CoherentState):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.modulus >= 1.0:
-            raise ValueError("|lambda| must be < 1")
+        _check_unit_disc(self.parameter)
         object.__setattr__(self, "w", cmath.rect(2.0 * math.atanh(self.modulus), self.arg))
+
+    @staticmethod
+    def _log_weight(k, r2, n):
+        """log of (1-|lam|^2)^{2k} (2k)_n |lam|^{2n} / n!, the negative-binomial
+        distribution, r2 = |lam|^2."""
+        return (2.0 * k * math.log1p(-r2) + n * math.log(r2)
+                + (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0))
+
+    @property
+    def tail_ratio(self) -> float:
+        return self.modulus ** 2
 
     @classmethod
     def from_w(cls, k: float, w: complex) -> "PerelomovState":
@@ -91,12 +132,17 @@ class PerelomovState(_CoherentState):
 
 @dataclass(frozen=True)
 class SGState(_CoherentState):
-    """Eigenstate of the composite annihilation operator; mean quantum
-    number |alpha|^2 independent of k."""
+    """Eigenstate of the composite annihilation operator; k > 0 finite,
+    alpha finite.  The mean quantum number |alpha|^2 is independent of k."""
 
     PARAM = "alpha"
     FAMILY = "sg"
     alpha: complex
+
+    @staticmethod
+    def _log_weight(k, x, n):
+        """log of the Poisson weight e^{-x} x^n / n!, x = |alpha|^2."""
+        return n * math.log(x) - x - gammaln(n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,16 +164,16 @@ class StateVector:
         return abs(float(np.sum(np.abs(self.coeffs) ** 2)) + self.tail_norm ** 2 - 1.0)
 
 
-def _grow_until_tail(log_weight, cutoff, family_phase, ratio_limit=0.0):
-    """Assemble normalized coefficients from log|c_n| values, growing the
+def _grow_until_tail(log_weight, cutoff, phase, ratio_limit=0.0):
+    """Assemble normalized coefficients |c_n| phase^n from log|c_n| values, growing the
     basis geometrically until the tail norm estimate drops below TAIL_TOL.
 
     On a window of N terms the tail is bounded by a geometric envelope: with
     q the larger of the last ratio |c_{N-1}|^2 / |c_{N-2}|^2 and
     `ratio_limit`, no later ratio exceeds q, so the squared tail norm is at
     most |c_{N-1}|^2 q / (1 - q).  The ratios of all three families decrease
-    in n, except Perelomov's at 2k < 1, which rise towards |lambda|^2; that
-    family passes |lambda|^2 as `ratio_limit`.  The ratio is taken in log
+    in n, except Perelomov's at 2k < 1, which rise towards |lambda|^2, that
+    family's `tail_ratio`, passed as `ratio_limit`.  The ratio is taken in log
     domain, so a window whose weights all underflow (its mass lies beyond)
     grows instead of passing for empty.  The naive 1 - sum(|c_n|^2) would
     bottom out at sqrt(eps) ~ 1.5e-8.
@@ -156,38 +202,11 @@ def _grow_until_tail(log_weight, cutoff, family_phase, ratio_limit=0.0):
             raise CutoffExhausted(
                 f"tail norm above {TAIL_TOL:g} at cutoff {MAX_CUTOFF}")
         n_dim = min(MAX_CUTOFF, 2 * n_dim)
-    amps = np.exp(logw) * family_phase(np.arange(n_dim))
+    amps = np.exp(logw) * phase ** np.arange(n_dim)
     defect = abs(float(np.sum(np.abs(amps) ** 2)) + tail_norm ** 2 - 1.0)
     if not defect <= TAIL_TOL:
         raise NormDefect(f"norm misses 1 by {defect:.3g} at cutoff {n_dim}")
     return amps, tail_norm
-
-
-def _bg_log_weight(k, r2, n):
-    """log of |z|^{2n} / ((2k)_n n!), the BG number distribution up to its
-    normalization g_k(|z|^2)."""
-    n = np.asarray(n, dtype=float)
-    if r2 == 0.0:
-        return np.where(n == 0, 0.0, -np.inf)
-    return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
-
-
-def _pl_log_weight(k, r2, n):
-    """log of (1-|lam|^2)^{2k} (2k)_n |lam|^{2n} / n!, the Perelomov
-    (negative-binomial) number distribution, r2 = |lam|^2."""
-    n = np.asarray(n, dtype=float)
-    if r2 == 0.0:
-        return np.where(n == 0, 0.0, -np.inf)
-    return (2.0 * k * math.log1p(-r2) + n * math.log(r2)
-            + (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0))
-
-
-def _sg_log_weight(x, n):
-    """log of the Poisson weight e^{-x} x^n / n!, x = |alpha|^2."""
-    n = np.asarray(n, dtype=float)
-    if x == 0.0:
-        return np.where(n == 0, 0.0, -np.inf)
-    return n * math.log(x) - x - gammaln(n + 1.0)
 
 
 def _window(mean):
@@ -203,42 +222,42 @@ def _distribution(log_w):
     return w
 
 
-def _assemble(state, log_weight, cutoff, ratio_limit=0.0) -> StateVector:
-    """State vector with |c_n|^2 = exp(log_weight(n)) and c_n carrying the
-    parameter's phase to the power n."""
-    phase = cmath.exp(1j * state.arg)
-    amps, tail = _grow_until_tail(lambda n: 0.5 * log_weight(n), cutoff,
-                                  lambda n: phase ** n, ratio_limit)
+def _assemble(state, cutoff) -> StateVector:
+    """State vector with |c_n|^2 the state's number distribution and c_n
+    carrying the parameter's phase to the power n, built in log domain."""
+    k, r2 = state.k, state.modulus ** 2
+    log_norm = state.log_norm()
+    amps, tail = _grow_until_tail(lambda n: 0.5 * (state.log_weight(k, r2, n) - log_norm), cutoff,
+                                  cmath.exp(1j * state.arg), state.tail_ratio)
     return StateVector(state.k, amps, tail)
 
 
 def bg_amplitudes(state: BGState, cutoff: int = 64) -> StateVector:
-    """Coefficients z^n / sqrt((2k)_n n! g_k(|z|^2)), built in log domain."""
-    k, r2 = state.k, state.modulus ** 2
-    log_norm = sf.log_g_k(k, r2)
-    return _assemble(state, lambda n: _bg_log_weight(k, r2, n) - log_norm, cutoff)
+    """Coefficients z^n / sqrt((2k)_n n! g_k(|z|^2))."""
+    return _assemble(state, cutoff)
 
 
 def perelomov_amplitudes(state: PerelomovState, cutoff: int = 64) -> StateVector:
     """Coefficients (1-|lam|^2)^k sqrt((2k)_n/n!) lam^n."""
-    r2 = state.modulus ** 2
-    return _assemble(state, lambda n: _pl_log_weight(state.k, r2, n), cutoff, r2)
+    return _assemble(state, cutoff)
 
 
 def sg_amplitudes(state: SGState, cutoff: int = 64) -> StateVector:
     """Coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
-    x = state.modulus ** 2
-    return _assemble(state, lambda n: _sg_log_weight(x, n), cutoff)
+    return _assemble(state, cutoff)
 
 
 def amplitudes(state, cutoff: int = 64) -> StateVector:
-    if isinstance(state, BGState):
-        return bg_amplitudes(state, cutoff)
-    if isinstance(state, PerelomovState):
-        return perelomov_amplitudes(state, cutoff)
-    if isinstance(state, SGState):
-        return sg_amplitudes(state, cutoff)
-    raise TypeError(f"not a coherent state: {state!r}")
+    """The state vector by the family's `*_amplitudes`, looked up at call time."""
+    if not isinstance(state, _CoherentState):
+        raise TypeError(f"not a coherent state: {state!r}")
+    return globals()[state.FAMILY + "_amplitudes"](state, cutoff)
+
+
+def number_prob(state, n: int) -> float:
+    """|c_n|^2, the state's number distribution at the quantum number n."""
+    sf.check_n(n)
+    return float(np.exp(state.log_weight(state.k, state.modulus ** 2, n) - state.log_norm()))
 
 
 def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
@@ -252,7 +271,7 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
     r2 = z_mod * z_mod
     if z_mod <= 20.0:
         n = _window(z_mod)
-        return float(_distribution(_bg_log_weight(k, r2, n)) @ (2.0 * k + n) ** -0.5)
+        return float(_distribution(BGState.log_weight(k, r2, n)) @ (2.0 * k + n) ** -0.5)
     log_norm = sf.log_g_k(k, r2)
 
     def integrand(s):
@@ -319,20 +338,11 @@ def bg_overlap(k: float, z2, z1) -> complex:
     return num * math.exp(-log_den)
 
 
-def bg_number_prob(k: float, z, n: int) -> float:
-    """|z|^{2n} / ((2k)_n n! g_k(|z|^2)), a normalized distribution in n."""
-    sf.check_k(k)
-    r2 = abs(complex(z)) ** 2
-    return float(np.exp(_bg_log_weight(k, r2, n) - sf.log_g_k(k, r2)))
-
-
 def perelomov_expectations(k: float, lam) -> dict:
     """Closed-form moments in a displacement-operator state."""
     sf.check_k(k)
     lam = complex(lam)
-    r = abs(lam)
-    if not r < 1.0:
-        raise sf.DomainError(f"|lambda| must be < 1, not {lam!r}")
+    r = _check_unit_disc(lam)
     th = cmath.phase(lam)
     denom = 1.0 - r * r
     k0 = k * (1.0 + r * r) / denom
@@ -370,18 +380,14 @@ def perelomov_expectations(k: float, lam) -> dict:
 
 def bose_statistics(lambda_modulus: float, n: int) -> float:
     """Geometric number distribution (1-|lam|^2)|lam|^{2n} of the k=1/2
-    displacement states."""
-    if not (0.0 < lambda_modulus < 1.0):
-        raise ValueError("need 0 < |lambda| < 1")
+    displacement states, for |lam| < 1 (delta_{n0} at lam = 0)."""
+    x = _check_unit_disc(lambda_modulus) ** 2
     sf.check_n(n)
-    x = lambda_modulus ** 2
     return (1.0 - x) * x ** n
 
 
 def bose_mean(lambda_modulus: float) -> float:
-    if not abs(lambda_modulus) < 1.0:
-        raise sf.DomainError(f"|lambda| must be < 1, not {lambda_modulus!r}")
-    x = lambda_modulus ** 2
+    x = _check_unit_disc(lambda_modulus) ** 2
     return x / (1.0 - x)
 
 
@@ -400,7 +406,7 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     sf.check_finite("|alpha|", alpha_mod)
     x = alpha_mod ** 2
     n = _window(x)
-    p = _distribution(_sg_log_weight(x, n))
+    p = _distribution(SGState.log_weight(k, x, n))
     a = n + 2.0 * k
     sqrt_a = np.sqrt(a)
     h1 = float(p @ sqrt_a)
@@ -490,8 +496,7 @@ def cross_overlaps(k: float, alpha, z, lam) -> dict:
     |alpha| ~ 38.6 while the kernels grow."""
     sf.check_k(k)
     alpha, z, lam = complex(alpha), complex(z), complex(lam)
-    if abs(lam) >= 1.0:
-        raise ValueError("|lambda| must be < 1")
+    _check_unit_disc(lam)
     c_k = cross_kernel_C(k, alpha.conjugate() * z)
     d_k = cross_kernel_D(k, alpha.conjugate() * lam)
     log_sg = -0.5 * abs(alpha) ** 2

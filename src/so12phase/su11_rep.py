@@ -67,22 +67,14 @@ class OperatorMatrix:
     `bands` maps an offset d to entries[i, i+d].  The dtype follows the
     data: float64 when every band is real, complex128 otherwise.  A matrix
     flagged hermitian that is not, or holds a non-finite entry, raises
-    ValueError.  The entries of `from_bands` and `adjoint` are read-only, as a
-    matrix and its adjoint may share them.  Matrices compare by identity."""
+    ValueError.  Built by `from_bands` or `adjoint` only, with read-only entries,
+    as a matrix and its adjoint may share them.  Matrices compare by identity."""
 
     entries: np.ndarray
-    hermitian: bool = field(default=False)
-    bands: dict | None = field(default=None, repr=False)
+    hermitian: bool
+    bands: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.bands is None:  # dense input: read its nonzero diagonals off it
-            arr = np.asarray(self.entries)
-            arr = arr.astype(np.result_type(arr.dtype, float), copy=False)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("OperatorMatrix must be square")
-            rows, cols = np.nonzero(arr)
-            object.__setattr__(self, "entries", arr)
-            object.__setattr__(self, "bands", {int(d): arr.diagonal(d) for d in np.unique(cols - rows)})
         if self.hermitian:  # np.max keeps a nan; a non-finite scale skips inf - inf
             scale = np.max([np.max(np.abs(v)) for v in self.bands.values()], initial=0.0)
             dev = max((np.max(np.abs(v - np.conj(self.bands.get(-d, 0.0))))
@@ -92,12 +84,14 @@ class OperatorMatrix:
 
     @classmethod
     def from_bands(cls, bands: dict, dim: int, hermitian: bool = False) -> "OperatorMatrix":
-        """The dim x dim matrix whose diagonal d holds bands[d], made dense here."""
+        """The dim x dim matrix whose diagonal d holds bands[d], copied read-only and made dense."""
+        bands = {d: np.array(v) for d, v in bands.items()}
         entries = np.zeros((dim, dim), dtype=np.result_type(float, *bands.values()))
         for d, v in bands.items():  # a strided view of one diagonal
             if not (abs(d) < dim and len(v) == dim - abs(d)):
                 raise ValueError(f"band {d} of length {len(v)} does not fit a {dim} x {dim} matrix")
             entries.reshape(-1)[max(d, -d * dim)::dim + 1][:len(v)] = v
+            v.flags.writeable = False
         entries.flags.writeable = False
         return cls(entries, hermitian, bands)
 

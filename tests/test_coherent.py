@@ -87,8 +87,37 @@ class TestStateVectorTails:
     def test_wrong_normalization_raises(self):
         # a weight set that misses unit norm is refused, not returned
         with pytest.raises(co.NormDefect):
-            co._grow_until_tail(lambda n: np.where(n == 0, math.log(0.5), -np.inf),
-                                64, lambda n: np.ones(len(n)))
+            co._grow_until_tail(lambda n: np.where(n == 0, math.log(0.5), -np.inf), 64, 1.0)
+
+
+# one state of each family, then each family's zero parameter
+FAMILY_STATES = [co.BGState(0.75, 2.0 - 1.0j), co.PerelomovState(0.25, 0.6j),
+                 co.SGState(1.5, -1.2 + 0.4j), co.BGState(0.75, 0.0),
+                 co.PerelomovState(0.25, 0.0), co.SGState(1.5, 0.0)]
+
+
+class TestFamilyProtocol:
+    @pytest.mark.parametrize("state", FAMILY_STATES,
+                             ids=["bg", "perelomov", "sg", "bg0", "perelomov0", "sg0"])
+    def test_number_prob_is_the_squared_amplitude(self, state):
+        vec = co.amplitudes(state)
+        probs = [co.number_prob(state, n) for n in range(vec.cutoff)]
+        assert probs == pytest.approx(np.abs(vec.coeffs) ** 2, rel=1e-12, abs=0.0)
+        assert math.fsum(probs) == pytest.approx(1.0 - vec.tail_norm ** 2, rel=1e-12)
+
+    def test_amplitudes_rejects_a_non_state(self):
+        with pytest.raises(TypeError, match="not a coherent state"):
+            co.amplitudes(object())
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5j], ids=["1", "1.5"])
+    @pytest.mark.parametrize("fn", [lambda lam: co.PerelomovState(1.0, lam),
+                                    lambda lam: co.perelomov_expectations(1.0, lam),
+                                    lambda lam: co.cross_overlaps(1.0, 1.0, 1.0, lam)],
+                             ids=["PerelomovState", "perelomov_expectations", "cross_overlaps"])
+    def test_lambda_outside_unit_disc_rejected(self, fn, lam):
+        # PerelomovState and cross_overlaps raised a bare ValueError
+        with pytest.raises(sf.DomainError, match=r"\|lambda\| must be < 1"):
+            fn(lam)
 
 
 class TestBGExpectations:
@@ -199,12 +228,12 @@ class TestBGOverlap:
 class TestBGNumberProb:
     def test_ground_weight(self):
         k, z = 0.6, 1.1
-        assert co.bg_number_prob(k, z, 0) == pytest.approx(
+        assert co.number_prob(co.BGState(k, z), 0) == pytest.approx(
             1.0 / sf.g_k(k, abs(z) ** 2).value, rel=1e-12)
 
     def test_sums_to_one(self):
         k, z = 0.75, 4.0
-        total = math.fsum(co.bg_number_prob(k, z, n) for n in range(200))
+        total = math.fsum(co.number_prob(co.BGState(k, z), n) for n in range(200))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_sub_poissonian_tail(self):
@@ -218,7 +247,7 @@ class TestBGNumberProb:
         with mp.workdps(40):
             ref = float(mp.mpf(z) ** (2 * n) / (mp.rf(2 * k, n) * mp.factorial(n)
                                                  * mp.hyp0f1(2 * k, mp.mpf(z) ** 2)))
-        assert co.bg_number_prob(k, z, n) == pytest.approx(ref, abs=1e-10)
+        assert co.number_prob(co.BGState(k, z), n) == pytest.approx(ref, abs=1e-10)
 
 
 class TestPerelomov:
@@ -298,6 +327,15 @@ class TestBoseStatistics:
     def test_normalized(self):
         total = math.fsum(co.bose_statistics(0.8, n) for n in range(400))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_parameter_is_ground(self):
+        # bose_statistics(0, n) raised ValueError, though PerelomovState(0.5, 0) is valid
+        assert [co.bose_statistics(0.0, n) for n in range(3)] == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, math.nan, math.inf])
+    def test_statistics_outside_unit_disc_rejected(self, lam):
+        with pytest.raises(sf.DomainError, match=r"\|lambda\| must be < 1"):
+            co.bose_statistics(lam, 0)
 
     def test_mean_matches_displacement_family(self):
         lam = 0.55

@@ -213,7 +213,7 @@ K_CHECKED = {
     "sg_expectations": lambda k: co.sg_expectations(k, 1.0),
     "sg_sums": lambda k: co.sg_sums(k, 1.0),
     "inv_sqrt_k0_expectation": lambda k: co.inv_sqrt_k0_expectation(k, 1.0),
-    "bg_number_prob": lambda k: co.bg_number_prob(k, 1.0, 0),
+    "number_prob": lambda k: co.number_prob(co.BGState(k, 1.0), 0),
     "cross_kernel_C": lambda k: co.cross_kernel_C(k, 1.0),
     "cross_kernel_D": lambda k: co.cross_kernel_D(k, 1.0),
     "cross_overlaps": lambda k: co.cross_overlaps(k, 1.0, 1.0, 0.5),
@@ -276,9 +276,11 @@ def test_negative_modulus_rejected(name):
 
 @pytest.mark.parametrize("n", [-1, 2.5, 2.0], ids=["-1", "2.5", "2.0"])
 @pytest.mark.parametrize("fn", [lambda n: co.bose_statistics(0.5, n),
-                                lambda n: su.number_state_stats(1.0, n)],
-                         ids=["bose_statistics", "number_state_stats"])
+                                lambda n: su.number_state_stats(1.0, n),
+                                lambda n: co.number_prob(co.BGState(0.5, 1.0), n)],
+                         ids=["bose_statistics", "number_state_stats", "number_prob"])
 def test_quantum_number_must_be_a_non_negative_integer(fn, n):
-    # bose_statistics(0.5, -1) returned 3.0 and number_state_stats(1, 2.5) a value
+    # bose_statistics(0.5, -1) returned 3.0, number_state_stats(1, 2.5) a value,
+    # and the BG number distribution 0.0 at n = -1 and 0.0397 at n = 2.5
     with pytest.raises(sf.DomainError, match="n must be a non-negative integer"):
         fn(n)

@@ -323,17 +323,27 @@ class TestHolsteinPrimakoff:
 class TestOperatorMatrix:
     def test_hermitian_flag_enforced(self):
         with pytest.raises(ValueError):
-            su.OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+            su.OperatorMatrix.from_bands({1: np.ones(1)}, 2, hermitian=True)
         with pytest.raises(ValueError):
             su.OperatorMatrix.from_bands({1: np.ones(3)}, 4, hermitian=True)
 
-    @pytest.mark.parametrize("entries", [
-        [[math.nan, 0.0], [0.0, 1.0]],
-        [[0.0, math.inf], [0.0, 0.0]],   # deviation and tolerance both inf
+    @pytest.mark.parametrize("bands", [
+        {0: np.array([math.nan, 1.0])},
+        {1: np.array([math.inf])},   # deviation and tolerance both inf
     ], ids=["nan", "inf"])
-    def test_hermitian_flag_rejects_non_finite(self, entries):
+    def test_hermitian_flag_rejects_non_finite(self, bands):
         with pytest.raises(ValueError):
-            su.OperatorMatrix(np.array(entries), hermitian=True)
+            su.OperatorMatrix.from_bands(bands, 2, hermitian=True)
+
+    def test_from_bands_copies_its_bands(self):
+        # from_bands kept the caller's arrays: after these writes expectation()
+        # gave 17 while the entries gave 9, and op.hermitian stayed True
+        b = {0: np.array([1.0, 2.0]), 1: np.array([3.0]), -1: np.array([3.0])}
+        op = su.OperatorMatrix.from_bands(b, 2, hermitian=True)
+        b[0][0] = 5.0
+        b[1][0] = 7.0
+        assert op.expectation(np.ones(2)) == 9
+        assert not any(v.flags.writeable for v in op.bands.values())
 
     def test_equality_is_identity(self):
         # a field-wise __eq__ would compare the entries arrays and raise
@@ -495,11 +505,14 @@ def test_banded_expectation_matches_dense(k, n_dim):
 def test_dense_input_expectation():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    herm = su.OperatorMatrix(m + m.conj().T, hermitian=True)
+    def diagonals(a):  # a full 5 x 5 matrix is its nine diagonals
+        return {d: a.diagonal(d) for d in range(-4, 5)}
+
+    herm = su.OperatorMatrix.from_bands(diagonals(m + m.conj().T), 5, hermitian=True)
     vec = rng.normal(size=5) + 1j * rng.normal(size=5)
     assert herm.expectation(vec) == pytest.approx(np.vdot(vec, herm.entries @ vec), rel=1e-13)
     assert sorted(herm.bands) == list(range(-4, 5))
-    assert su.OperatorMatrix(m.real).entries.dtype == np.float64
+    assert su.OperatorMatrix.from_bands(diagonals(m.real), 5).entries.dtype == np.float64
     with pytest.raises(ValueError):
         herm.expectation(np.ones(6))
 
