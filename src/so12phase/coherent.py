@@ -24,6 +24,7 @@ from .quadrature import gauss_legendre_panels
 
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 2048
+NEAR_MODULUS = 20.0  # up to this |z|, <(K0+k)^{-1/2}> is summed over the number distribution
 
 
 class CutoffExhausted(RuntimeError):
@@ -88,10 +89,7 @@ class BGState(_CoherentState):
     FAMILY = "bg"
     z: complex
 
-    @staticmethod
-    def _log_weight(k, r2, n):
-        """log of |z|^{2n} / ((2k)_n n!), normalized by g_k(|z|^2)."""
-        return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
+    _log_weight = staticmethod(sf.bg_log_weight)
 
     def log_norm(self) -> float:
         return sf.log_g_k(self.k, self.modulus ** 2)
@@ -209,19 +207,6 @@ def _grow_until_tail(log_weight, cutoff, phase, ratio_limit=0.0):
     return amps, tail_norm
 
 
-def _window(mean):
-    """n = 0 ... mean + 14 sqrt(mean + 1) + 60: beyond it a BG or SG
-    distribution of that mean holds less than 1e-40 of its weight."""
-    return np.arange(int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1, dtype=float)
-
-
-def _distribution(log_w):
-    """Probabilities proportional to exp(log_w), normalized in log domain."""
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
-    return w
-
-
 def _assemble(state, cutoff) -> StateVector:
     """State vector with |c_n|^2 the state's number distribution and c_n
     carrying the parameter's phase to the power n, built in log domain."""
@@ -261,17 +246,17 @@ def number_prob(state, n: int) -> float:
 
 
 def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
-    """<(K0+k)^{-1/2}> in a lowering-eigenstate of modulus |z|: for |z| <= 20
-    the sum of (2k+n)^{-1/2} over the number distribution, else the
-    Laplace-transform integral evaluated in log domain (substituting t = s^2
-    removes the endpoint singularity)."""
+    """<(K0+k)^{-1/2}> in a lowering-eigenstate of modulus |z|: for |z| <=
+    NEAR_MODULUS the sum of (2k+n)^{-1/2} over the number distribution, else
+    the Laplace-transform integral evaluated in log domain (substituting
+    t = s^2 removes the endpoint singularity)."""
     sf.check_k(k)
     if not 0.0 <= z_mod < math.inf:
         raise sf.DomainError(f"inv_sqrt_k0_expectation requires a finite |z| >= 0, not {z_mod!r}")
+    if z_mod <= NEAR_MODULUS:
+        n, p = sf.bg_distribution(k, z_mod)
+        return float(p @ (2.0 * k + n) ** -0.5)
     r2 = z_mod * z_mod
-    if z_mod <= 20.0:
-        n = _window(z_mod)
-        return float(_distribution(BGState.log_weight(k, r2, n)) @ (2.0 * k + n) ** -0.5)
     log_norm = sf.log_g_k(k, r2)
 
     def integrand(s):
@@ -284,46 +269,35 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
 
 
 def bg_expectations(k: float, z) -> dict:
-    """Closed-form moments of K0, K1, K2 and the number operator in a
-    lowering-operator eigenstate.  Mandel's Q and the ratio R are reported
-    as None at z = 0 where the mean quantum number vanishes."""
+    """Moments of K0, K1, K2 and the number operator in a lowering-operator
+    eigenstate from one `sf.bg_distribution`, and <(K0+k)^{-1/2}> past NEAR_MODULUS
+    from `inv_sqrt_k0_expectation`.  Mandel's Q and R = Q/Nbar are None at z = 0."""
     z = complex(z)
     r = abs(z)
+    n, p = sf.bg_distribution(k, r)
     phi = cmath.phase(z)
-    rho = sf.rho_k(k, r)
-    k0 = k + r * rho
-    k0_sq = k * k + r * r + r * rho
-    var_k0 = r * r * (1.0 - rho * rho) + (1.0 - 2.0 * k) * r * rho
-    nbar = r * rho
-    var_n = var_k0
-    if nbar > 0:
-        ratio_r = 1.0 / rho ** 2 - 2.0 * k / (r * rho) - 1.0
-        q = r * (1.0 / rho - rho) - 2.0 * k
-    else:
-        ratio_r = None
-        q = None
-    k1 = r * math.cos(phi)
-    k2 = -r * math.sin(phi)
-    k1_sq = r * r * math.cos(phi) ** 2 + 0.5 * k0
-    k2_sq = r * r * math.sin(phi) ** 2 + 0.5 * k0
-    inv_sqrt = inv_sqrt_k0_expectation(k, r)
+    nbar = float(p @ n)
+    k0 = k + nbar
+    var_k0 = float(p @ (n - nbar) ** 2)
+    q = float(p @ (n * (n - 1.0))) / nbar - nbar if nbar > 0 else None
+    inv_sqrt = float(p @ (2.0 * k + n) ** -0.5) if r <= NEAR_MODULUS else inv_sqrt_k0_expectation(k, r)
     return {
         "K0": k0,
-        "K0_sq": k0_sq,
+        "K0_sq": k * k + r * r + nbar,
         "var_K0": var_k0,
         "Nbar": nbar,
-        "var_N": var_n,
-        "R": ratio_r,
+        "var_N": var_k0,
+        "R": q / nbar if nbar > 0 else None,
         "Q": q,
-        "K1": k1,
-        "K2": k2,
-        "K1_sq": k1_sq,
-        "K2_sq": k2_sq,
+        "K1": r * math.cos(phi),
+        "K2": -r * math.sin(phi),
+        "K1_sq": r * r * math.cos(phi) ** 2 + 0.5 * k0,
+        "K2_sq": r * r * math.sin(phi) ** 2 + 0.5 * k0,
         "var_K1": 0.5 * k0,
         "var_K2": 0.5 * k0,
         "anticomm_K1K2": -r * r * math.sin(2.0 * phi),
         "S_corr": 0.0,
-        "E_inv": rho / r if r > 0 else 1.0 / (2.0 * k),
+        "E_inv": float(p @ (1.0 / (2.0 * k + n))),
         "a_expect": z * inv_sqrt,
     }
 
@@ -405,8 +379,7 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     sf.check_k(k)
     sf.check_finite("|alpha|", alpha_mod)
     x = alpha_mod ** 2
-    n = _window(x)
-    p = _distribution(SGState.log_weight(k, x, n))
+    n, p = sf.distribution(lambda n: SGState.log_weight(k, x, n), x)
     a = n + 2.0 * k
     sqrt_a = np.sqrt(a)
     h1 = float(p @ sqrt_a)

@@ -1,7 +1,13 @@
 """Special-function kernel: the entire kernel 0F1(2k; w) (`g_k`, and
-`log_g_k` in log domain for real w) and the Bessel ratio I_{2k}(2x) /
-I_{2k-1}(2x) (`rho_k`, with its small- and large-x forms) behind `coherent`,
-and the checks of the index k, a quantum number and a complex argument.
+`log_g_k` in log domain for real w), the lowering-operator (BG) number
+distribution and the Bessel ratio rho_k behind `coherent`, and the checks of
+the index k, a quantum number and a complex argument.
+
+Every BG moment, rho_k = x E[(2k+n)^{-1}] among them, is a sum over one
+number distribution (`bg_distribution`), not a difference of nearly equal
+closed forms in rho_k.  Both take finite x >= 0 up to about 1.94e5, where
+`log_g_k` stops too, and raise DomainError beyond.  For k < 1/4 rho_k can
+exceed 1, and does: that is the Bessel ratio, not rounding.
 
 One engine, `ratio_series`, sums every term-ratio series: `g_k` and
 `log_g_k` here, C_k and D_k in `coherent`.  It is Kahan-compensated, stops
@@ -19,6 +25,9 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gammaln
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 200_000
@@ -128,29 +137,45 @@ def log_g_k(k: float, w: float) -> float:
     return math.log(res.value) + res.scale * math.log(2.0)
 
 
-def rho_k(k: float, x: float) -> float:
-    """Bessel ratio I_{2k}(2x) / I_{2k-1}(2x), evaluated by the standard
-    continued fraction for ratios of modified Bessel functions.
+def distribution(log_weight, mean: float) -> tuple:
+    """(n, p) over n = 0 ... mean + 14 sqrt(mean + 1) + 60, beyond which a BG or
+    SG distribution of that mean holds less than 1e-40 of its weight; p is
+    proportional to exp(log_weight(n)), normalized in log domain."""
+    n = np.arange(int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1, dtype=float)
+    log_w = log_weight(n)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    return n, w
 
-    Strictly below 1 for all finite x when k >= 1/4; for k in (0, 1/4) no
-    bound is asserted and the value may exceed 1.
-    """
+
+def bg_log_weight(k: float, r2: float, n) -> np.ndarray:
+    """log of |z|^{2n} / ((2k)_n n!), normalized by g_k(|z|^2); r2 = |z|^2 > 0."""
+    return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
+
+
+def bg_distribution(k: float, x: float) -> tuple:
+    """(n, p): p_n = x^{2n} / ((2k)_n n! g_k(x^2)), the number distribution of a BG
+    state of modulus x; delta_0 where x^2 is 0.  DomainError for x outside [0, inf)
+    and past x ~ 1.94e5, where the window, never built, would pass SERIES_MAX_TERMS."""
     check_k(k)
     if not 0.0 <= x < math.inf:
-        raise DomainError(f"rho_k requires a finite x >= 0, not {x!r}")
-    if x == 0.0:
-        return 0.0
-    y = 2.0 * x
-    nu = 2.0 * k - 1.0
-    depth = max(40, int(1.5 * y) + 40)
-    r = 0.0
-    for m in range(depth, 0, -1):
-        r = 1.0 / (2.0 * (nu + m) / y + r)
-    if k >= 0.25 and r > 1.0:
-        # the bound rho < 1 holds for k >= 1/4; anything above is rounding
-        # noise from the continued fraction once 1 - rho underflows
-        r = 1.0
-    return r
+        raise DomainError(f"bg_distribution requires a finite x >= 0, not {x!r}")
+    if x * x == 0.0:
+        return np.zeros(1), np.ones(1)
+    n, p = distribution(lambda n: bg_log_weight(k, x * x, n), min(x, SERIES_MAX_TERMS))
+    if len(n) > SERIES_MAX_TERMS:
+        raise DomainError(f"the BG window at x = {x!r} passes {SERIES_MAX_TERMS} terms")
+    return n, p
+
+
+def rho_k(k: float, x: float) -> float:
+    """Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) = x E[(2k+n)^{-1}] over
+    `bg_distribution(k, x)`, whose domain it shares.  Below 1 for k >= 1/4,
+    where a value rounded above 1 is returned as 1; for k in (0, 1/4) it can
+    truly exceed 1: rho_k(0.05, 0.5) = 1.6350141505724103."""
+    n, p = bg_distribution(k, x)
+    rho = x * float(p @ (1.0 / (2.0 * k + n)))
+    return min(rho, 1.0) if k >= 0.25 else rho
 
 
 def rho_k_asymptotic(k: float, x: float) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class RepParams:
     def __post_init__(self):
         check_k(self.k)
         if not hasattr(type(self.cutoff), "__index__") or self.cutoff < 4:
-            raise ValueError(f"cutoff must be an integer of at least 4, not {self.cutoff!r}")
+            raise DomainError(f"cutoff must be an integer of at least 4, not {self.cutoff!r}")
 
     @property
     def group_of_origin(self) -> str:
@@ -67,14 +68,17 @@ class OperatorMatrix:
     `bands` maps an offset d to entries[i, i+d].  The dtype follows the
     data: float64 when every band is real, complex128 otherwise.  A matrix
     flagged hermitian that is not, or holds a non-finite entry, raises
-    ValueError.  Built by `from_bands` or `adjoint` only, with read-only entries,
-    as a matrix and its adjoint may share them.  Matrices compare by identity."""
+    ValueError.  Built by `from_bands` or `adjoint` only, with read-only entries
+    and bands, as a matrix and its adjoint may share them.  Matrices compare by identity."""
 
     entries: np.ndarray
     hermitian: bool
-    bands: dict = field(repr=False)
+    bands: MappingProxyType = field(repr=False)
 
     def __post_init__(self):
+        for v in (self.entries, *self.bands.values()):
+            v.flags.writeable = False
+        object.__setattr__(self, "bands", MappingProxyType(self.bands))
         if self.hermitian:  # np.max keeps a nan; a non-finite scale skips inf - inf
             scale = np.max([np.max(np.abs(v)) for v in self.bands.values()], initial=0.0)
             dev = max((np.max(np.abs(v - np.conj(self.bands.get(-d, 0.0))))
@@ -91,15 +95,12 @@ class OperatorMatrix:
             if not (abs(d) < dim and len(v) == dim - abs(d)):
                 raise ValueError(f"band {d} of length {len(v)} does not fit a {dim} x {dim} matrix")
             entries.reshape(-1)[max(d, -d * dim)::dim + 1][:len(v)] = v
-            v.flags.writeable = False
-        entries.flags.writeable = False
         return cls(entries, hermitian, bands)
 
     def adjoint(self) -> "OperatorMatrix":
         """The Hermitian adjoint, bands {-d: conj(v)}: for a real matrix a
         transposed view of the same memory, for a complex one a new array."""
         entries = self.entries.conj().T  # conj() of a real array is the array itself
-        entries.flags.writeable = False
         return OperatorMatrix(entries, self.hermitian, {-d: v.conj() for d, v in self.bands.items()})
 
     @property
@@ -251,7 +252,7 @@ def contraction_limit(k_sequence, n1: int, n2: int):
     check_n(n2)
     ks = list(k_sequence)
     if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k values must increase")
+        raise DomainError("k values must increase")
     rows = []
     for k in ks:
         check_k(k)

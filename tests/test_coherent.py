@@ -175,6 +175,19 @@ class TestBGExpectations:
         ex = co.bg_expectations(k, z)
         assert ex["E_inv"] == pytest.approx(sf.rho_k(k, abs(z)) / abs(z), rel=1e-13)
 
+    def test_one_distribution_per_call(self, monkeypatch):
+        # every moment up to NEAR_MODULUS reads one shared distribution
+        calls, build = [], sf.bg_distribution
+
+        def counted(k, x):
+            calls.append(x)
+            return build(k, x)
+
+        monkeypatch.setattr(sf, "bg_distribution", counted)
+        for r in (0.0, 1.0, co.NEAR_MODULUS):
+            co.bg_expectations(0.5, r)
+        assert calls == [0.0, 1.0, co.NEAR_MODULUS]
+
     def test_a_expectation_matrix_oracle(self):
         k, z = 1.0, 1.5j
         vec = co.bg_amplitudes(co.BGState(k, z))

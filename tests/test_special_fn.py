@@ -146,6 +146,22 @@ class TestKernelGrid:
             assert sf.rho_k(k, m) == pytest.approx(ref, rel=1e-13), (k, m)
 
     @pytest.mark.parametrize("k", K_GRID)
+    def test_bg_moments(self, k):
+        # relative to 40-digit closed forms in the Bessel ratio; the same forms
+        # in double precision left R 1.9e-4 and Q 2.9e-5 off at k = 50, |z| = 1e-3
+        for m in MODULUS_GRID:
+            ex = co.bg_expectations(k, m)
+            with mp.workdps(40):
+                rho = mp.besseli(2 * k, 2 * m) / mp.besseli(2 * k - 1, 2 * m)
+                nbar = m * rho
+                q = m * (1 / rho - rho) - 2 * k
+                refs = {"Nbar": (nbar, 1e-13), "E_inv": (rho / m, 1e-13),
+                        "var_K0": (m * m * (1 - rho * rho) + (1 - 2 * k) * nbar, 1e-12),
+                        "Q": (q, 1e-11), "R": (q / nbar, 1e-11)}
+            for name, (ref, rel) in refs.items():
+                assert ex[name] == pytest.approx(float(ref), rel=rel), (k, m, name)
+
+    @pytest.mark.parametrize("k", K_GRID)
     def test_real_g_k(self, k):
         for m in MODULUS_GRID:
             if 2 * m > 600:
@@ -190,6 +206,18 @@ class TestRhoK:
     def test_small_x_form(self):
         assert sf.rho_k(0.75, 1e-3) == pytest.approx(sf.rho_k_small_x(0.75, 1e-3), rel=1e-9)
 
+    def test_window_cap(self):
+        # past x ~ 1.94e5 the BG window would pass SERIES_MAX_TERMS; log_g_k
+        # stops at the same x
+        assert sf.rho_k(1.0, 1.9e5) == pytest.approx(sf.rho_k_asymptotic(1.0, 1.9e5), rel=1e-13)
+        for fn in (sf.rho_k, sf.bg_distribution, co.bg_expectations):
+            with pytest.raises(sf.DomainError, match="passes 200000 terms"):
+                fn(1.0, 2e5)
+
+    def test_distribution_at_zero_is_ground(self):
+        n, p = sf.bg_distribution(0.7, 0.0)
+        assert n.tolist() == [0.0] and p.tolist() == [1.0]
+
 
 @pytest.mark.parametrize("k", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("fn", [sf.g_k, sf.log_g_k, sf.rho_k], ids=["g_k", "log_g_k", "rho_k"])
@@ -207,8 +235,11 @@ K_CHECKED = {
     "g_k": lambda k: sf.g_k(k, 1.0),
     "log_g_k": lambda k: sf.log_g_k(k, 1.0),
     "rho_k": lambda k: sf.rho_k(k, 1.0),
+    "bg_distribution": lambda k: sf.bg_distribution(k, 1.0),
     "rho_k_asymptotic": lambda k: sf.rho_k_asymptotic(k, 1.0),
     "rho_k_small_x": lambda k: sf.rho_k_small_x(k, 1.0),
+    "bg_expectations": lambda k: co.bg_expectations(k, 1.0),
+    "bg_overlap": lambda k: co.bg_overlap(k, 1.0, 1.0),
     "perelomov_expectations": lambda k: co.perelomov_expectations(k, 0.5),
     "sg_expectations": lambda k: co.sg_expectations(k, 1.0),
     "sg_sums": lambda k: co.sg_sums(k, 1.0),
@@ -242,6 +273,7 @@ ARG_CHECKED = {
     "bg_overlap_z1": (lambda v: co.bg_overlap(0.5, 1.0, v), "z1 must be finite"),
     "log_g_k": (lambda v: sf.log_g_k(1.0, v), "finite w >= 0"),
     "rho_k": (lambda v: sf.rho_k(1.0, v), "finite x >= 0"),
+    "bg_distribution": (lambda v: sf.bg_distribution(1.0, v), "finite x >= 0"),
     "inv_sqrt_k0_expectation": (lambda v: co.inv_sqrt_k0_expectation(1.0, v), r"finite \|z\| >= 0"),
     "bg_expectations": (lambda v: co.bg_expectations(1.0, v), "finite x >= 0"),
     "BGState": (lambda v: co.BGState(1.0, v), "z must be finite"),

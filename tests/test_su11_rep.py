@@ -93,6 +93,12 @@ class TestBuildGenerators:
         with pytest.raises(ValueError):
             fn(su.RepParams(k, 8))
 
+    @pytest.mark.parametrize("cutoff", [3, 8.5, "8"])
+    def test_cutoff_checked(self, cutoff):
+        # raised a bare ValueError
+        with pytest.raises(DomainError, match="cutoff must be an integer of at least 4"):
+            su.RepParams(0.5, cutoff)
+
     def test_non_integral_cutoff_rejected(self):
         with pytest.raises(ValueError):
             su.RepParams(0.5, 8.5)
@@ -276,8 +282,9 @@ class TestContraction:
 
     @pytest.mark.parametrize("ks, n1, n2, match", [
         ([1, 2], -3, -2, "n must be"), ([1, 2], 0, 2.5, "n must be"),
-        ([0, 1], 0, 0, "k must be"), ([1, math.nan], 0, 1, "k must be")],
-        ids=["negative-n", "non-integer-n", "zero-k", "nan-k"])
+        ([0, 1], 0, 0, "k must be"), ([1, math.nan], 0, 1, "k must be"),
+        ([2, 1], 0, 0, "k values must increase")],
+        ids=["negative-n", "non-integer-n", "zero-k", "nan-k", "decreasing-k"])
     def test_domain_checked(self, ks, n1, n2, match):
         # ([1, 2], -3, -2) returned nan with a RuntimeWarning and ([0, 1], 0, 0)
         # raised ZeroDivisionError
@@ -344,6 +351,16 @@ class TestOperatorMatrix:
         b[1][0] = 7.0
         assert op.expectation(np.ones(2)) == 9
         assert not any(v.flags.writeable for v in op.bands.values())
+
+    def test_bands_read_only(self):
+        # after op.bands[1] = [7.] expectation() gave 13 while the entries gave
+        # 9, and op.hermitian stayed True; a complex adjoint's bands were writeable
+        op = su.OperatorMatrix.from_bands({0: [1.0, 2.0], 1: [3.0], -1: [3.0]}, 2, hermitian=True)
+        for m in (op, op.adjoint(), su.build_generators(su.RepParams(0.5, 4))["K2"].adjoint()):
+            with pytest.raises(TypeError):
+                m.bands[1] = np.array([7.0])
+            assert not any(v.flags.writeable for v in m.bands.values())
+        assert op.expectation(np.ones(2)) == 9
 
     def test_equality_is_identity(self):
         # a field-wise __eq__ would compare the entries arrays and raise
