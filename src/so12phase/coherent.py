@@ -7,7 +7,10 @@ alpha).  Every closed-form statistic here has a truncated-matrix
 counterpart in the tests; state vectors grow their cutoff geometrically
 until the tail norm falls below TAIL_TOL.  A family is fixed by its number
 distribution, which its state class holds (`log_weight`, `log_norm`,
-`tail_ratio`) and the state vectors and distribution sums read.
+`tail_ratio`) and the state vectors and distribution sums read.  Each
+`log_weight` is one gather from a cached table of `special_fn`, which asks
+for no quantum number past SERIES_MAX_TERMS: the distribution sums, SG's
+above |alpha| ~ 440 among them, raise DomainError beyond.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import special_fn as sf
 from .quadrature import gauss_legendre_panels
@@ -71,8 +73,9 @@ class _CoherentState:
 
     @classmethod
     def log_weight(cls, k: float, r2: float, n) -> np.ndarray:
-        """The family's `_log_weight`; the zero parameter puts all weight on n = 0."""
-        n = np.asarray(n, dtype=float)
+        """The family's `_log_weight` at the quantum numbers n, non-negative
+        integers below SERIES_MAX_TERMS; the zero parameter puts all weight on n = 0."""
+        n = np.asarray(n, dtype=np.intp)
         if r2 == 0.0:
             return np.where(n == 0, 0.0, -np.inf)
         return cls._log_weight(k, r2, n)
@@ -116,7 +119,7 @@ class PerelomovState(_CoherentState):
         """log of (1-|lam|^2)^{2k} (2k)_n |lam|^{2n} / n!, the negative-binomial
         distribution, r2 = |lam|^2."""
         return (2.0 * k * math.log1p(-r2) + n * math.log(r2)
-                + (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0))
+                + sf.weight_terms("perelomov", 2.0 * k, n))
 
     @property
     def tail_ratio(self) -> float:
@@ -140,7 +143,7 @@ class SGState(_CoherentState):
     @staticmethod
     def _log_weight(k, x, n):
         """log of the Poisson weight e^{-x} x^n / n!, x = |alpha|^2."""
-        return n * math.log(x) - x - gammaln(n + 1.0)
+        return n * math.log(x) - x - sf.weight_terms("sg", None, n)
 
 
 @dataclass(frozen=True)
@@ -318,7 +321,7 @@ def perelomov_expectations(k: float, lam) -> dict:
     lam = complex(lam)
     r = _check_unit_disc(lam)
     th = cmath.phase(lam)
-    denom = 1.0 - r * r
+    denom = (1.0 - r) * (1.0 + r)
     k0 = k * (1.0 + r * r) / denom
     var_k0 = 2.0 * k * r * r / denom ** 2
     k0_sq = k0 * k0 + var_k0
@@ -375,6 +378,8 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     h2 = x + 2k + 1/2 + <delta>, h = x/4 - x <delta>/2 + k/2 and
     diff = 1/2 + <delta> + <(sqrt(a) - h1)^2>.  No term of size x^2 is
     subtracted, so h and diff keep full relative precision at large |alpha|.
+    The sums run over `sf.distribution`'s window from n = 0, which passes
+    SERIES_MAX_TERMS above |alpha| ~ 440: DomainError there.
     """
     sf.check_k(k)
     sf.check_finite("|alpha|", alpha_mod)

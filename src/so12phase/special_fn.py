@@ -1,7 +1,13 @@
 """Special-function kernel: the entire kernel 0F1(2k; w) (`g_k`, and
-`log_g_k` in log domain for real w), the lowering-operator (BG) number
-distribution and the Bessel ratio rho_k behind `coherent`, and the checks of
-the index k, a quantum number and a complex argument.
+`log_g_k` in log domain for real w), the weight tables of every family's
+number distribution, the lowering-operator (BG) distribution and the Bessel
+ratio rho_k behind `coherent`, and the checks of the index k, a quantum
+number and a complex argument.  numpy is the only third-party import.
+
+A family's log weight is n log|parameter|^2 plus a constant minus or plus a
+gather from one cached, read-only table (`weight_table`) of log (2k)_n and
+log n!, built as compensated sums of logs.  No table, window (`distribution`)
+or series goes past SERIES_MAX_TERMS terms; asking for more raises DomainError.
 
 Every BG moment, rho_k = x E[(2k+n)^{-1}] among them, is a sum over one
 number distribution (`bg_distribution`), not a difference of nearly equal
@@ -22,12 +28,12 @@ n - 1 recurrence steps behind term n, which dominates where terms cancel.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 200_000
@@ -140,17 +146,83 @@ def log_g_k(k: float, w: float) -> float:
 def distribution(log_weight, mean: float) -> tuple:
     """(n, p) over n = 0 ... mean + 14 sqrt(mean + 1) + 60, beyond which a BG or
     SG distribution of that mean holds less than 1e-40 of its weight; p is
-    proportional to exp(log_weight(n)), normalized in log domain."""
-    n = np.arange(int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1, dtype=float)
+    proportional to exp(log_weight(n)), normalized in log domain.  DomainError,
+    before anything is allocated, where the window passes SERIES_MAX_TERMS."""
+    size = int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1
+    if size > SERIES_MAX_TERMS:
+        raise DomainError(f"the window at mean {mean!r} passes {SERIES_MAX_TERMS} terms")
+    n = np.arange(size, dtype=float)
     log_w = log_weight(n)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
     return n, w
 
 
+_TABLE_START = 64
+
+
+@functools.lru_cache(maxsize=32)
+def _table_slot(family: str, a: float | None) -> list:
+    """A one-element list holding the (family, a) table, which grows in place;
+    the 32 most recently used are kept."""
+    return [np.empty(0)]
+
+
+def _prefix_sums(steps: np.ndarray) -> np.ndarray:
+    """0 followed by the Kahan-compensated partial sums of `steps`."""
+    out = [0.0]
+    total = comp = 0.0
+    for x in steps.tolist():
+        y = x - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        out.append(total)
+    return np.array(out)
+
+
+def weight_table(family: str, a: float | None, size: int) -> np.ndarray:
+    """The cached, read-only table T of a family's weight, at least `size`
+    entries long: T[m] = log (a)_m + log m! for "bg", log (a)_m - log m! for
+    "perelomov" and log m! for "sg" (a unused).  T[m] is the compensated sum
+    of the steps T[j+1] - T[j], j < m: log(a+j) + log(j+1), log1p((a-1)/(j+1))
+    and log(j+1).  So it is within about half an ulp, where a difference of
+    log Gamma values carries the rounding of its large terms, up to 2e-11 for
+    m < 8192.  A table grows by doubling from 64 entries up to
+    SERIES_MAX_TERMS and is filled anew at each size, so no entry depends on
+    the order of the calls; asking for more raises DomainError."""
+    slot = _table_slot(family, a)
+    if len(slot[0]) < size:
+        if size > SERIES_MAX_TERMS:
+            raise DomainError(f"the {family} weight table cannot pass {SERIES_MAX_TERMS} terms")
+        new = max(len(slot[0]), _TABLE_START)
+        while new < size:
+            new *= 2
+        j = np.arange(min(new, SERIES_MAX_TERMS) - 1, dtype=float)
+        if family == "sg":
+            steps = np.log(j + 1.0)
+        elif family == "bg":
+            steps = np.log(a + j) + np.log(j + 1.0)
+        else:
+            steps = np.log1p((a - 1.0) / (j + 1.0))
+        slot[0] = _prefix_sums(steps)
+        slot[0].flags.writeable = False
+    return slot[0]
+
+
+def weight_terms(family: str, a: float | None, n) -> np.ndarray:
+    """T[n] of `weight_table(family, a, ...)` for non-negative integers n, one
+    gather from the cached table, which grows on a miss."""
+    n = np.asarray(n, dtype=np.intp)
+    try:
+        return _table_slot(family, a)[0][n]
+    except IndexError:
+        return weight_table(family, a, int(n.max()) + 1)[n]
+
+
 def bg_log_weight(k: float, r2: float, n) -> np.ndarray:
     """log of |z|^{2n} / ((2k)_n n!), normalized by g_k(|z|^2); r2 = |z|^2 > 0."""
-    return n * math.log(r2) - (gammaln(2 * k + n) - math.lgamma(2 * k)) - gammaln(n + 1.0)
+    return n * math.log(r2) - weight_terms("bg", 2.0 * k, n)
 
 
 def bg_distribution(k: float, x: float) -> tuple:
@@ -162,10 +234,7 @@ def bg_distribution(k: float, x: float) -> tuple:
         raise DomainError(f"bg_distribution requires a finite x >= 0, not {x!r}")
     if x * x == 0.0:
         return np.zeros(1), np.ones(1)
-    n, p = distribution(lambda n: bg_log_weight(k, x * x, n), min(x, SERIES_MAX_TERMS))
-    if len(n) > SERIES_MAX_TERMS:
-        raise DomainError(f"the BG window at x = {x!r} passes {SERIES_MAX_TERMS} terms")
-    return n, p
+    return distribution(lambda n: bg_log_weight(k, x * x, n), x)
 
 
 def rho_k(k: float, x: float) -> float:

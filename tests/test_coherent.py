@@ -300,6 +300,19 @@ class TestPerelomov:
         assert ex["K1"] == pytest.approx(k * math.sinh(w), rel=1e-12)
         assert ex["R"] == 1.0 / (2 * k)
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("k", [0.25, 1.0, 10.0])
+    def test_closed_forms_near_the_edge(self, k, gap):
+        # 1 - r*r lost the digits that (1 - r)(1 + r) keeps: K0 was 5e-10 off at gap 1e-9
+        lam = 1.0 - gap
+        ex = co.perelomov_expectations(k, lam)
+        with mp.workdps(50):
+            r2 = mp.mpf(lam) ** 2
+            k0 = k * (1 + r2) / (1 - r2)
+            var_k0 = 2 * k * r2 / (1 - r2) ** 2
+        assert ex["K0"] == pytest.approx(float(k0), rel=1e-14)
+        assert ex["var_K0"] == pytest.approx(float(var_k0), rel=1e-14)
+
     def test_r_constant_in_lambda(self):
         vals = [co.perelomov_expectations(1.0, lam)["R"] for lam in (0.1, 0.5j, -0.7)]
         assert vals == [0.5, 0.5, 0.5]

@@ -171,6 +171,95 @@ class TestKernelGrid:
             assert sf.g_k(k, m * m).value == pytest.approx(ref, rel=1e-13), (k, m)
 
 
+TABLE_K = (0.05, 0.25, 1.0, 10.0, 50.0)
+# both sides of the table growths at 64 and 4096 entries
+TABLE_N = (0, 1, 63, 64, 65, 4095, 4096, 4097)
+FAMILIES = {"bg": co.BGState, "perelomov": co.PerelomovState, "sg": co.SGState}
+
+
+def _mp_log_weight(family, k, r2, n):
+    """40-digit log weight, log norm and the sum S of the magnitudes of the
+    log terms; rounding each term in double leaves up to 2^-52 S in the log,
+    a relative error of that size in exp."""
+    with mp.workdps(40):
+        a, x = 2 * mp.mpf(k), mp.mpf(r2)
+        terms = [n * mp.log(x), -mp.loggamma(n + 1)]
+        log_norm = mp.mpf(0)
+        if family == "sg":
+            terms.append(-x)
+        elif family == "perelomov":
+            terms += [mp.loggamma(a + n) - mp.loggamma(a), a * mp.log(1 - x)]
+        else:
+            terms.append(mp.loggamma(a) - mp.loggamma(a + n))
+            log_norm = mp.log(mp.hyp0f1(a, x))
+        log_w = mp.fsum(terms)
+        size = mp.fsum(abs(t) for t in terms) + abs(log_norm)
+        return float(log_w), float(mp.exp(log_w - log_norm)), float(size)
+
+
+class TestWeightTables:
+    """The cached tables behind every family's log weight."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("k", TABLE_K)
+    def test_against_mpmath(self, family, k):
+        # each n at its family's bulk: mean quantum number n
+        for n in TABLE_N:
+            m = max(n, 1)
+            r2 = {"bg": float(m) ** 2, "sg": float(m), "perelomov": m / (m + 2.0 * k)}[family]
+            log_w, prob, size = _mp_log_weight(family, k, r2, n)
+            rounding = 2.0 ** -52 * size
+            got = float(FAMILIES[family].log_weight(k, r2, n))
+            assert abs(got - log_w) <= 1e-12 * abs(log_w) + rounding, (n, got, log_w)
+            got = co.number_prob(FAMILIES[family](k, math.sqrt(r2)), n)
+            assert abs(got - prob) <= (1e-12 + rounding) * prob, (n, got, prob)
+
+    @pytest.mark.parametrize("k", TABLE_K)
+    def test_bg_window_far_out(self, k):
+        x = 1e4
+        n, p = sf.bg_distribution(k, x)
+        for i in (9000, 10000, 11000, len(n) - 1):
+            _, prob, size = _mp_log_weight("bg", k, x * x, i)
+            assert abs(p[i] - prob) <= (1e-12 + 2.0 ** -52 * size) * prob, (i, p[i], prob)
+
+    def test_tables_grow_by_doubling_and_are_read_only(self):
+        a = 0.634  # no other test uses this key
+        tables = []
+        for size, length in ((1, 64), (64, 64), (65, 128), (4096, 4096), (4097, 8192)):
+            tables.append(sf.weight_table("bg", a, size))
+            assert len(tables[-1]) == length
+        table = tables[-1]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        # each size is filled anew: an entry does not depend on the growth before it
+        assert all(np.array_equal(t, table[:len(t)]) for t in tables)
+
+    def test_cap(self):
+        cap = sf.SERIES_MAX_TERMS
+        assert len(sf.weight_table("sg", None, cap)) == cap
+        with pytest.raises(sf.DomainError, match="cannot pass 200000 terms"):
+            sf.weight_table("sg", None, cap + 1)
+        with pytest.raises(sf.DomainError, match="cannot pass 200000 terms"):
+            co.number_prob(co.SGState(1.0, 1.0), cap)
+        assert len(sf.weight_table("sg", None, 1)) == cap
+        # the SG window of mean |alpha|^2 reaches the cap near |alpha| = 440
+        assert co.sg_sums(1.0, 440.0)["h1"] == pytest.approx(440.0, rel=1e-5)
+        for alpha in (441.0, 1e4):
+            with pytest.raises(sf.DomainError, match="passes 200000 terms"):
+                co.sg_sums(1.0, alpha)
+
+    def test_least_recently_used_table_goes_first(self):
+        keep = 0.5171  # fresh keys, used by no other test
+        sf.weight_table("perelomov", keep, 1)
+        for i in range(40):
+            sf.weight_table("perelomov", keep + 1.0 + i / 64, 1)
+            sf.weight_terms("perelomov", keep, [3])
+        assert sf._table_slot.cache_info().currsize == 32
+        assert len(sf._table_slot("perelomov", keep)[0]) == 64
+        assert len(sf._table_slot("perelomov", keep + 1.0)[0]) == 0  # evicted: a new, empty slot
+
+
 class TestRhoK:
     def test_zero_at_origin(self):
         assert sf.rho_k(0.5, 0.0) == 0.0

@@ -2,10 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 import warnings
 
@@ -562,20 +558,3 @@ def test_band_algebra_matches_dense(case):
             (_dense(su._combine((ca, a), (cb, b)), dim), ca * da + cb * db,
              abs(ca) * np.abs(da) + abs(cb) * np.abs(db))):
         assert np.all(np.abs(got - ref) <= 1e-14 * scale)
-
-
-def test_audit_never_imports_scipy_sparse():
-    # the state-vector and moment paths share the process; sparse costs ~18 ms to import
-    code = textwrap.dedent("""
-        import sys
-        from so12phase import su11_rep as su
-        p = su.RepParams(0.5, 8)
-        for fn in (su.build_generators, su.composite_ladder, su.composite_qp,
-                   su.holstein_primakoff, su.casimir, su.commutator_residuals):
-            fn(p)
-        print("scipy.sparse" in sys.modules)
-    """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(su.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
