@@ -6,11 +6,11 @@ eigenstates of the composite oscillator annihilation operator (parameter
 alpha).  Every closed-form statistic here has a truncated-matrix
 counterpart in the tests; state vectors grow their cutoff geometrically
 until the tail norm falls below TAIL_TOL.  A family is fixed by its number
-distribution, which its state class holds (`log_weight`, `log_norm`,
-`tail_ratio`) and the state vectors and distribution sums read.  Each
-`log_weight` is one gather from a cached table of `special_fn`, which asks
-for no quantum number past SERIES_MAX_TERMS: the distribution sums, SG's
-above |alpha| ~ 440 among them, raise DomainError beyond.
+distribution: its weight is `special_fn.log_weight` under the family's name
+(FAMILY), and its state class adds what reads the state (`log_norm`,
+`tail_ratio`).  The weight asks for no quantum number past SERIES_MAX_TERMS:
+the distribution sums, SG's above |alpha| ~ 440 among them, raise
+DomainError beyond.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _check_unit_disc(lam) -> float:
 class _CoherentState:
     """A family's index k and its one complex parameter.  Each family names
     the parameter's field in PARAM and itself in FAMILY.  |c_n|^2 is
-    exp(log_weight(k, |parameter|^2, n) - log_norm()); no ratio
+    exp(sf.log_weight(FAMILY, k, |parameter|^2, n) - log_norm()); no ratio
     |c_{n+1}/c_n|^2 past the vector's end exceeds the last one or `tail_ratio`."""
 
     k: float
@@ -71,15 +71,6 @@ class _CoherentState:
     def arg(self) -> float:
         return cmath.phase(self.parameter)
 
-    @classmethod
-    def log_weight(cls, k: float, r2: float, n) -> np.ndarray:
-        """The family's `_log_weight` at the quantum numbers n, non-negative
-        integers below SERIES_MAX_TERMS; the zero parameter puts all weight on n = 0."""
-        n = np.asarray(n, dtype=np.intp)
-        if r2 == 0.0:
-            return np.where(n == 0, 0.0, -np.inf)
-        return cls._log_weight(k, r2, n)
-
     def log_norm(self) -> float:
         return 0.0
 
@@ -91,8 +82,6 @@ class BGState(_CoherentState):
     PARAM = "z"
     FAMILY = "bg"
     z: complex
-
-    _log_weight = staticmethod(sf.bg_log_weight)
 
     def log_norm(self) -> float:
         return sf.log_g_k(self.k, self.modulus ** 2)
@@ -114,13 +103,6 @@ class PerelomovState(_CoherentState):
         _check_unit_disc(self.parameter)
         object.__setattr__(self, "w", cmath.rect(2.0 * math.atanh(self.modulus), self.arg))
 
-    @staticmethod
-    def _log_weight(k, r2, n):
-        """log of (1-|lam|^2)^{2k} (2k)_n |lam|^{2n} / n!, the negative-binomial
-        distribution, r2 = |lam|^2."""
-        return (2.0 * k * math.log1p(-r2) + n * math.log(r2)
-                + sf.weight_terms("perelomov", 2.0 * k, n))
-
     @property
     def tail_ratio(self) -> float:
         return self.modulus ** 2
@@ -139,11 +121,6 @@ class SGState(_CoherentState):
     PARAM = "alpha"
     FAMILY = "sg"
     alpha: complex
-
-    @staticmethod
-    def _log_weight(k, x, n):
-        """log of the Poisson weight e^{-x} x^n / n!, x = |alpha|^2."""
-        return n * math.log(x) - x - sf.weight_terms("sg", None, n)
 
 
 @dataclass(frozen=True)
@@ -212,11 +189,14 @@ def _grow_until_tail(log_weight, cutoff, phase, ratio_limit=0.0):
 
 def _assemble(state, cutoff) -> StateVector:
     """State vector with |c_n|^2 the state's number distribution and c_n
-    carrying the parameter's phase to the power n, built in log domain."""
-    k, r2 = state.k, state.modulus ** 2
+    carrying the parameter's phase to the power n, built in log domain from a
+    first window of max(cutoff, 8) terms; cutoff is an integer in [1, MAX_CUTOFF]."""
+    if not (hasattr(type(cutoff), "__index__") and 1 <= cutoff <= MAX_CUTOFF):
+        raise sf.DomainError(f"cutoff must be an integer in [1, {MAX_CUTOFF}], not {cutoff!r}")
+    family, k, r2 = state.FAMILY, state.k, state.modulus ** 2
     log_norm = state.log_norm()
-    amps, tail = _grow_until_tail(lambda n: 0.5 * (state.log_weight(k, r2, n) - log_norm), cutoff,
-                                  cmath.exp(1j * state.arg), state.tail_ratio)
+    amps, tail = _grow_until_tail(lambda n: 0.5 * (sf.log_weight(family, k, r2, n) - log_norm),
+                                  cutoff, cmath.exp(1j * state.arg), state.tail_ratio)
     return StateVector(state.k, amps, tail)
 
 
@@ -245,7 +225,7 @@ def amplitudes(state, cutoff: int = 64) -> StateVector:
 def number_prob(state, n: int) -> float:
     """|c_n|^2, the state's number distribution at the quantum number n."""
     sf.check_n(n)
-    return float(np.exp(state.log_weight(state.k, state.modulus ** 2, n) - state.log_norm()))
+    return float(np.exp(sf.log_weight(state.FAMILY, state.k, state.modulus ** 2, n) - state.log_norm()))
 
 
 def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
@@ -267,7 +247,7 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
         inner = np.array([sf.log_g_k(k, r2 * math.exp(-v * v)) for v in s])
         return 2.0 * np.exp(-2.0 * k * s * s + inner - log_norm)
 
-    val, _ = gauss_legendre_panels(integrand, 0.0, math.sqrt(40.0), panels=8)
+    val, _ = gauss_legendre_panels(integrand, 0.0, math.sqrt(40.0))
     return float(np.real(val)) / math.sqrt(math.pi)
 
 
@@ -325,7 +305,7 @@ def perelomov_expectations(k: float, lam) -> dict:
     k0 = k * (1.0 + r * r) / denom
     var_k0 = 2.0 * k * r * r / denom ** 2
     k0_sq = k0 * k0 + var_k0
-    nbar = k0 - k
+    nbar = 2.0 * k * r * r / denom
     var_n = var_k0
     one_plus = abs(1.0 + lam * lam) ** 2
     one_minus = abs(1.0 - lam * lam) ** 2
@@ -355,19 +335,6 @@ def perelomov_expectations(k: float, lam) -> dict:
     }
 
 
-def bose_statistics(lambda_modulus: float, n: int) -> float:
-    """Geometric number distribution (1-|lam|^2)|lam|^{2n} of the k=1/2
-    displacement states, for |lam| < 1 (delta_{n0} at lam = 0)."""
-    x = _check_unit_disc(lambda_modulus) ** 2
-    sf.check_n(n)
-    return (1.0 - x) * x ** n
-
-
-def bose_mean(lambda_modulus: float) -> float:
-    x = _check_unit_disc(lambda_modulus) ** 2
-    return x / (1.0 - x)
-
-
 def sg_sums(k: float, alpha_mod: float) -> dict:
     """The Poisson sums h1 = <sqrt(N+2k)> and h2 = <sqrt((N+2k)(N+2k+1))>,
     the combination h entering the quadrature second moments, and
@@ -379,12 +346,13 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     diff = 1/2 + <delta> + <(sqrt(a) - h1)^2>.  No term of size x^2 is
     subtracted, so h and diff keep full relative precision at large |alpha|.
     The sums run over `sf.distribution`'s window from n = 0, which passes
-    SERIES_MAX_TERMS above |alpha| ~ 440: DomainError there.
+    SERIES_MAX_TERMS above |alpha| ~ 440: DomainError there and for |alpha| < 0.
     """
     sf.check_k(k)
-    sf.check_finite("|alpha|", alpha_mod)
+    if not 0.0 <= alpha_mod < math.inf:
+        raise sf.DomainError(f"|alpha| must be finite and >= 0, not {alpha_mod!r}")
     x = alpha_mod ** 2
-    n, p = sf.distribution(lambda n: SGState.log_weight(k, x, n), x)
+    n, p = sf.distribution(lambda n: sf.log_weight("sg", k, x, n), x)
     a = n + 2.0 * k
     sqrt_a = np.sqrt(a)
     h1 = float(p @ sqrt_a)

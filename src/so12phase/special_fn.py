@@ -1,11 +1,12 @@
 """Special-function kernel: the entire kernel 0F1(2k; w) (`g_k`, and
-`log_g_k` in log domain for real w), the weight tables of every family's
-number distribution, the lowering-operator (BG) distribution and the Bessel
+`log_g_k` in log domain for real w), every family's number weight and its
+tables, the lowering-operator (BG) distribution and the Bessel
 ratio rho_k behind `coherent`, and the checks of the index k, a quantum
 number and a complex argument.  numpy is the only third-party import.
 
-A family's log weight is n log|parameter|^2 plus a constant minus or plus a
-gather from one cached, read-only table (`weight_table`) of log (2k)_n and
+Every family's log weight is `log_weight` under the family's name:
+n log|parameter|^2 plus a constant minus or plus a gather from one cached,
+read-only table (`weight_table`, picked by the same name) of log (2k)_n and
 log n!, built as compensated sums of logs.  No table, window (`distribution`)
 or series goes past SERIES_MAX_TERMS terms; asking for more raises DomainError.
 
@@ -143,16 +144,16 @@ def log_g_k(k: float, w: float) -> float:
     return math.log(res.value) + res.scale * math.log(2.0)
 
 
-def distribution(log_weight, mean: float) -> tuple:
+def distribution(log_w_of, mean: float) -> tuple:
     """(n, p) over n = 0 ... mean + 14 sqrt(mean + 1) + 60, beyond which a BG or
     SG distribution of that mean holds less than 1e-40 of its weight; p is
-    proportional to exp(log_weight(n)), normalized in log domain.  DomainError,
+    proportional to exp(log_w_of(n)), normalized in log domain.  DomainError,
     before anything is allocated, where the window passes SERIES_MAX_TERMS."""
     size = int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1
     if size > SERIES_MAX_TERMS:
         raise DomainError(f"the window at mean {mean!r} passes {SERIES_MAX_TERMS} terms")
     n = np.arange(size, dtype=float)
-    log_w = log_weight(n)
+    log_w = log_w_of(n)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
     return n, w
@@ -220,9 +221,18 @@ def weight_terms(family: str, a: float | None, n) -> np.ndarray:
         return weight_table(family, a, int(n.max()) + 1)[n]
 
 
-def bg_log_weight(k: float, r2: float, n) -> np.ndarray:
-    """log of |z|^{2n} / ((2k)_n n!), normalized by g_k(|z|^2); r2 = |z|^2 > 0."""
-    return n * math.log(r2) - weight_terms("bg", 2.0 * k, n)
+def log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
+    """log of r2^n / ((2k)_n n!) ("bg", over g_k(r2)), (1-r2)^{2k} (2k)_n r2^n / n!
+    ("perelomov") or e^{-r2} r2^n / n! ("sg") at |parameter|^2 = r2 and integers
+    0 <= n < SERIES_MAX_TERMS; the zero parameter puts all weight on n = 0."""
+    n = np.asarray(n, dtype=np.intp)
+    if r2 == 0.0:
+        return np.where(n == 0, 0.0, -np.inf)
+    if family == "bg":
+        return n * math.log(r2) - weight_terms("bg", 2.0 * k, n)
+    if family == "perelomov":
+        return 2.0 * k * math.log1p(-r2) + n * math.log(r2) + weight_terms("perelomov", 2.0 * k, n)
+    return n * math.log(r2) - r2 - weight_terms("sg", None, n)
 
 
 def bg_distribution(k: float, x: float) -> tuple:
@@ -234,7 +244,7 @@ def bg_distribution(k: float, x: float) -> tuple:
         raise DomainError(f"bg_distribution requires a finite x >= 0, not {x!r}")
     if x * x == 0.0:
         return np.zeros(1), np.ones(1)
-    return distribution(lambda n: bg_log_weight(k, x * x, n), x)
+    return distribution(lambda n: log_weight("bg", k, x * x, n), x)
 
 
 def rho_k(k: float, x: float) -> float:
@@ -248,12 +258,16 @@ def rho_k(k: float, x: float) -> float:
 
 
 def rho_k_asymptotic(k: float, x: float) -> float:
-    """Large-x expansion 1 - (4k-1)/(4x) + (16(k^2-k)+3)/(32 x^2)."""
+    """Large-x expansion 1 - (4k-1)/(4x) + (16(k^2-k)+3)/(32 x^2), finite x > 0."""
     check_k(k)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"rho_k_asymptotic requires a finite x > 0, not {x!r}")
     return 1.0 - (4.0 * k - 1.0) / (4.0 * x) + (16.0 * (k * k - k) + 3.0) / (32.0 * x * x)
 
 
 def rho_k_small_x(k: float, x: float) -> float:
-    """Small-x behaviour (x/2k)(1 - x^2/(2k(2k+1)))."""
+    """Small-x behaviour (x/2k)(1 - x^2/(2k(2k+1))), finite x >= 0."""
     check_k(k)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"rho_k_small_x requires a finite x >= 0, not {x!r}")
     return x / (2.0 * k) * (1.0 - x * x / (2.0 * k * (2.0 * k + 1.0)))

@@ -55,6 +55,19 @@ class TestBGAmplitudes:
             co.bg_amplitudes(co.BGState(0.5, 3000.0))
 
 
+@pytest.mark.parametrize("cutoff", [2.5, 2.0, 0, -5, co.MAX_CUTOFF + 1, 5000, "64"])
+def test_cutoff_must_be_an_integer_within_the_cap(cutoff):
+    # 2.5 gave a 16-entry vector, 0 and -5 were taken as 8, 5000 gave 5000 entries
+    with pytest.raises(sf.DomainError, match="cutoff must be an integer"):
+        co.amplitudes(co.BGState(1.0, 1.0), cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [1, np.int64(64), co.MAX_CUTOFF])
+def test_cutoff_accepts_integers_within_the_cap(cutoff):
+    vec = co.amplitudes(co.SGState(1.0, 1.0), cutoff)
+    assert vec.cutoff >= cutoff and vec.norm_defect() <= co.TAIL_TOL
+
+
 class TestStateVectorTails:
     # states whose weights all underflow in the starting window of 64 terms,
     # and Perelomov states whose weight ratio approaches |lambda|^2 > 0.75
@@ -313,6 +326,18 @@ class TestPerelomov:
         assert ex["K0"] == pytest.approx(float(k0), rel=1e-14)
         assert ex["var_K0"] == pytest.approx(float(var_k0), rel=1e-14)
 
+    @pytest.mark.parametrize("r", [1e-8, 1e-5, 1e-3, 0.3])
+    @pytest.mark.parametrize("k", [0.05, 0.5, 10.0, 50.0])
+    def test_mean_number_at_small_lambda(self, k, r):
+        # Nbar = K0 - k cancelled: 5e-11 off at k = 10, |lambda| = 1e-3
+        lam = r * cmath.exp(0.9j)
+        ex = co.perelomov_expectations(k, lam)
+        with mp.workdps(40):
+            r2 = mp.mpf(abs(lam)) ** 2
+            nbar = 2 * k * r2 / (1 - r2)
+        assert ex["Nbar"] == pytest.approx(float(nbar), rel=1e-14, abs=0.0)
+        assert ex["Q"] == pytest.approx(float(nbar / (2 * k)), rel=1e-14, abs=0.0)
+
     def test_r_constant_in_lambda(self):
         vals = [co.perelomov_expectations(1.0, lam)["R"] for lam in (0.1, 0.5j, -0.7)]
         assert vals == [0.5, 0.5, 0.5]
@@ -347,39 +372,39 @@ class TestPerelomov:
 
 
 class TestBoseStatistics:
+    """At k = 1/2 the displacement states carry the Bose-Einstein law
+    (1-|lam|^2)|lam|^{2n}, of mean |lam|^2/(1-|lam|^2)."""
+
     def test_ground_weight(self):
-        assert co.bose_statistics(0.6, 0) == pytest.approx(1 - 0.36, rel=1e-15)
+        assert co.number_prob(co.PerelomovState(0.5, 0.6), 0) == pytest.approx(1 - 0.36, rel=1e-15)
 
     def test_normalized(self):
-        total = math.fsum(co.bose_statistics(0.8, n) for n in range(400))
+        state = co.PerelomovState(0.5, 0.8)
+        total = math.fsum(co.number_prob(state, n) for n in range(400))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_parameter_is_ground(self):
-        # bose_statistics(0, n) raised ValueError, though PerelomovState(0.5, 0) is valid
-        assert [co.bose_statistics(0.0, n) for n in range(3)] == [1.0, 0.0, 0.0]
-
-    @pytest.mark.parametrize("lam", [1.0, 1.5, math.nan, math.inf])
-    def test_statistics_outside_unit_disc_rejected(self, lam):
-        with pytest.raises(sf.DomainError, match=r"\|lambda\| must be < 1"):
-            co.bose_statistics(lam, 0)
-
-    def test_mean_matches_displacement_family(self):
-        lam = 0.55
-        assert co.bose_mean(lam) == pytest.approx(
-            co.perelomov_expectations(0.5, lam)["Nbar"], rel=1e-12)
-
-    @pytest.mark.parametrize("lam", [1.0, -1.0, math.nan, math.inf])
-    def test_mean_outside_unit_disc_rejected(self, lam):
-        # bose_mean(1.0) raised ZeroDivisionError and bose_mean(nan) returned nan
-        with pytest.raises(sf.DomainError, match=r"\|lambda\| must be < 1"):
-            co.bose_mean(lam)
+        state = co.PerelomovState(0.5, 0.0)
+        assert [co.number_prob(state, n) for n in range(3)] == [1.0, 0.0, 0.0]
 
     def test_geometric_weights_match_squared_amplitudes(self):
-        lam = 0.45
-        vec = co.perelomov_amplitudes(co.PerelomovState(0.5, lam))
-        for n in (0, 1, 5):
-            assert abs(vec.coeffs[n]) ** 2 == pytest.approx(
-                co.bose_statistics(lam, n), rel=1e-12)
+        for lam in (0.45, 0.8j, -0.99, 1e-3 * cmath.exp(0.4j)):
+            state = co.PerelomovState(0.5, lam)
+            with mp.workdps(40):
+                x = mp.mpf(abs(lam)) ** 2
+                law = [float((1 - x) * x ** n) for n in range(401)]
+            for n, ref in enumerate(law):
+                if ref > 1e-300:
+                    assert co.number_prob(state, n) == pytest.approx(ref, rel=1e-12, abs=0.0), (lam, n)
+            vec = co.perelomov_amplitudes(state)
+            assert np.abs(vec.coeffs[:6]) ** 2 == pytest.approx(law[:6], rel=1e-12, abs=0.0)
+
+    def test_mean_matches_displacement_family(self):
+        for lam in (1e-8, 1e-3, 0.55j, -0.9, 1.0 - 1e-6):
+            with mp.workdps(40):
+                x = mp.mpf(abs(lam)) ** 2
+                mean = float(x / (1 - x))
+            assert co.perelomov_expectations(0.5, lam)["Nbar"] == pytest.approx(mean, rel=1e-14, abs=0.0), lam
 
 
 class TestSG:

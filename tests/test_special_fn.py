@@ -31,6 +31,13 @@ class TestGk:
         d2 = (-g[0] + 16 * g[1] - 30 * g[2] + 16 * g[3] - g[4]) / (12 * h * h)
         return w * d2 + 2 * k * d1 - g[2]
 
+    def test_cancelling_series_past_the_peak_overflow(self):
+        # the terms peak near e^{2 sqrt|w|}, far above the value, where they cancel
+        for w in (-1e5, 1e5j):
+            with pytest.raises(OverflowError, match="non-real or negative"):
+                sf.g_k(0.5, w)
+        assert math.isfinite(sf.g_k(0.5, 1e5).value)
+
     def test_ode_residual_central_differences(self):
         # w g'' + 2k g' - g = 0, residual relative to the function scale
         k = 1.0
@@ -209,7 +216,7 @@ class TestWeightTables:
             r2 = {"bg": float(m) ** 2, "sg": float(m), "perelomov": m / (m + 2.0 * k)}[family]
             log_w, prob, size = _mp_log_weight(family, k, r2, n)
             rounding = 2.0 ** -52 * size
-            got = float(FAMILIES[family].log_weight(k, r2, n))
+            got = float(sf.log_weight(family, k, r2, n))
             assert abs(got - log_w) <= 1e-12 * abs(log_w) + rounding, (n, got, log_w)
             got = co.number_prob(FAMILIES[family](k, math.sqrt(r2)), n)
             assert abs(got - prob) <= (1e-12 + rounding) * prob, (n, got, prob)
@@ -263,6 +270,11 @@ class TestWeightTables:
 class TestRhoK:
     def test_zero_at_origin(self):
         assert sf.rho_k(0.5, 0.0) == 0.0
+
+    def test_asymptotic_form_rejects_the_origin(self):
+        # rho_k_asymptotic(1, 0) raised a bare ZeroDivisionError
+        with pytest.raises(sf.DomainError, match="finite x > 0"):
+            sf.rho_k_asymptotic(1.0, 0.0)
 
     def test_large_x_expansion(self):
         # 1 - (4k-1)/(4x) at k=1/2, x=10
@@ -362,6 +374,8 @@ ARG_CHECKED = {
     "bg_overlap_z1": (lambda v: co.bg_overlap(0.5, 1.0, v), "z1 must be finite"),
     "log_g_k": (lambda v: sf.log_g_k(1.0, v), "finite w >= 0"),
     "rho_k": (lambda v: sf.rho_k(1.0, v), "finite x >= 0"),
+    "rho_k_asymptotic": (lambda v: sf.rho_k_asymptotic(1.0, v), "finite x > 0"),
+    "rho_k_small_x": (lambda v: sf.rho_k_small_x(1.0, v), "finite x >= 0"),
     "bg_distribution": (lambda v: sf.bg_distribution(1.0, v), "finite x >= 0"),
     "inv_sqrt_k0_expectation": (lambda v: co.inv_sqrt_k0_expectation(1.0, v), r"finite \|z\| >= 0"),
     "bg_expectations": (lambda v: co.bg_expectations(1.0, v), "finite x >= 0"),
@@ -388,20 +402,21 @@ def test_non_finite_argument_rejected(name, v):
         fn(v)
 
 
-@pytest.mark.parametrize("name", ["log_g_k", "rho_k", "inv_sqrt_k0_expectation"])
+@pytest.mark.parametrize("name", ["log_g_k", "rho_k", "inv_sqrt_k0_expectation",
+                                  "rho_k_asymptotic", "rho_k_small_x", "sg_sums"])
 def test_negative_modulus_rejected(name):
+    # rho_k_asymptotic(1, -5) returned 1.154 and sg_sums(1, -3) the sums at |alpha| = 3
     fn, match = ARG_CHECKED[name]
     with pytest.raises(sf.DomainError, match=match):
         fn(-1.0)
 
 
 @pytest.mark.parametrize("n", [-1, 2.5, 2.0], ids=["-1", "2.5", "2.0"])
-@pytest.mark.parametrize("fn", [lambda n: co.bose_statistics(0.5, n),
-                                lambda n: su.number_state_stats(1.0, n),
+@pytest.mark.parametrize("fn", [lambda n: su.number_state_stats(1.0, n),
                                 lambda n: co.number_prob(co.BGState(0.5, 1.0), n)],
-                         ids=["bose_statistics", "number_state_stats", "number_prob"])
+                         ids=["number_state_stats", "number_prob"])
 def test_quantum_number_must_be_a_non_negative_integer(fn, n):
-    # bose_statistics(0.5, -1) returned 3.0, number_state_stats(1, 2.5) a value,
-    # and the BG number distribution 0.0 at n = -1 and 0.0397 at n = 2.5
+    # number_state_stats(1, 2.5) returned a value, and the BG number
+    # distribution 0.0 at n = -1 and 0.0397 at n = 2.5
     with pytest.raises(sf.DomainError, match="n must be a non-negative integer"):
         fn(n)
