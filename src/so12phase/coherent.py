@@ -6,11 +6,10 @@ eigenstates of the composite oscillator annihilation operator (parameter
 alpha).  Every closed-form statistic here has a truncated-matrix
 counterpart in the tests; state vectors grow their cutoff geometrically
 until the tail norm falls below TAIL_TOL.  A family is fixed by its number
-distribution: its weight is `special_fn.log_weight` under the family's name
-(FAMILY), and its state class adds what reads the state (`log_norm`,
-`tail_ratio`).  The weight asks for no quantum number past SERIES_MAX_TERMS:
-the distribution sums, SG's above |alpha| ~ 440 among them, raise
-DomainError beyond.
+distribution, exp(`special_fn.log_weight` - `special_fn.log_norm`) under the
+family's name (FAMILY), which asks for no quantum number past SERIES_MAX_TERMS:
+the distribution sums, SG's above |alpha| ~ 440 among them, raise DomainError
+beyond.
 """
 
 from __future__ import annotations
@@ -47,12 +46,9 @@ def _check_unit_disc(lam) -> float:
 @dataclass(frozen=True)
 class _CoherentState:
     """A family's index k and its one complex parameter.  Each family names
-    the parameter's field in PARAM and itself in FAMILY.  |c_n|^2 is
-    exp(sf.log_weight(FAMILY, k, |parameter|^2, n) - log_norm()); no ratio
-    |c_{n+1}/c_n|^2 past the vector's end exceeds the last one or `tail_ratio`."""
+    the parameter's field in PARAM and itself in FAMILY."""
 
     k: float
-    tail_ratio = 0.0
 
     def __post_init__(self):
         sf.check_k(self.k)
@@ -71,9 +67,6 @@ class _CoherentState:
     def arg(self) -> float:
         return cmath.phase(self.parameter)
 
-    def log_norm(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class BGState(_CoherentState):
@@ -82,9 +75,6 @@ class BGState(_CoherentState):
     PARAM = "z"
     FAMILY = "bg"
     z: complex
-
-    def log_norm(self) -> float:
-        return sf.log_g_k(self.k, self.modulus ** 2)
 
 
 @dataclass(frozen=True)
@@ -102,10 +92,6 @@ class PerelomovState(_CoherentState):
         super().__post_init__()
         _check_unit_disc(self.parameter)
         object.__setattr__(self, "w", cmath.rect(2.0 * math.atanh(self.modulus), self.arg))
-
-    @property
-    def tail_ratio(self) -> float:
-        return self.modulus ** 2
 
     @classmethod
     def from_w(cls, k: float, w: complex) -> "PerelomovState":
@@ -142,16 +128,16 @@ class StateVector:
         return abs(float(np.sum(np.abs(self.coeffs) ** 2)) + self.tail_norm ** 2 - 1.0)
 
 
-def _grow_until_tail(log_weight, cutoff, phase, ratio_limit=0.0):
+def _grow_until_tail(log_weight, phase, ratio_limit):
     """Assemble normalized coefficients |c_n| phase^n from log|c_n| values, growing the
-    basis geometrically until the tail norm estimate drops below TAIL_TOL.
+    basis geometrically from 64 terms until the tail norm estimate drops below TAIL_TOL.
 
     On a window of N terms the tail is bounded by a geometric envelope: with
     q the larger of the last ratio |c_{N-1}|^2 / |c_{N-2}|^2 and
     `ratio_limit`, no later ratio exceeds q, so the squared tail norm is at
     most |c_{N-1}|^2 q / (1 - q).  The ratios of all three families decrease
-    in n, except Perelomov's at 2k < 1, which rise towards |lambda|^2, that
-    family's `tail_ratio`, passed as `ratio_limit`.  The ratio is taken in log
+    in n, except Perelomov's at 2k < 1, which rise towards |lambda|^2, the
+    `sf.ratio_limit` passed as `ratio_limit`.  The ratio is taken in log
     domain, so a window whose weights all underflow (its mass lies beyond)
     grows instead of passing for empty.  The naive 1 - sum(|c_n|^2) would
     bottom out at sqrt(eps) ~ 1.5e-8.
@@ -162,7 +148,7 @@ def _grow_until_tail(log_weight, cutoff, phase, ratio_limit=0.0):
     and NormDefect when the assembled norm misses 1 - tail^2 by more than
     TAIL_TOL.
     """
-    n_dim = max(cutoff, 8)
+    n_dim = 64
     while True:
         logw = log_weight(np.arange(n_dim))
         if np.isneginf(logw[-1]):
@@ -187,45 +173,43 @@ def _grow_until_tail(log_weight, cutoff, phase, ratio_limit=0.0):
     return amps, tail_norm
 
 
-def _assemble(state, cutoff) -> StateVector:
+def _assemble(state) -> StateVector:
     """State vector with |c_n|^2 the state's number distribution and c_n
-    carrying the parameter's phase to the power n, built in log domain from a
-    first window of max(cutoff, 8) terms; cutoff is an integer in [1, MAX_CUTOFF]."""
-    if not (hasattr(type(cutoff), "__index__") and 1 <= cutoff <= MAX_CUTOFF):
-        raise sf.DomainError(f"cutoff must be an integer in [1, {MAX_CUTOFF}], not {cutoff!r}")
+    carrying the parameter's phase to the power n, built in log domain."""
     family, k, r2 = state.FAMILY, state.k, state.modulus ** 2
-    log_norm = state.log_norm()
+    log_norm = sf.log_norm(family, k, r2)
     amps, tail = _grow_until_tail(lambda n: 0.5 * (sf.log_weight(family, k, r2, n) - log_norm),
-                                  cutoff, cmath.exp(1j * state.arg), state.tail_ratio)
+                                  cmath.exp(1j * state.arg), sf.ratio_limit(family, k, r2))
     return StateVector(state.k, amps, tail)
 
 
-def bg_amplitudes(state: BGState, cutoff: int = 64) -> StateVector:
+def bg_amplitudes(state: BGState) -> StateVector:
     """Coefficients z^n / sqrt((2k)_n n! g_k(|z|^2))."""
-    return _assemble(state, cutoff)
+    return _assemble(state)
 
 
-def perelomov_amplitudes(state: PerelomovState, cutoff: int = 64) -> StateVector:
+def perelomov_amplitudes(state: PerelomovState) -> StateVector:
     """Coefficients (1-|lam|^2)^k sqrt((2k)_n/n!) lam^n."""
-    return _assemble(state, cutoff)
+    return _assemble(state)
 
 
-def sg_amplitudes(state: SGState, cutoff: int = 64) -> StateVector:
+def sg_amplitudes(state: SGState) -> StateVector:
     """Coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
-    return _assemble(state, cutoff)
+    return _assemble(state)
 
 
-def amplitudes(state, cutoff: int = 64) -> StateVector:
+def amplitudes(state) -> StateVector:
     """The state vector by the family's `*_amplitudes`, looked up at call time."""
     if not isinstance(state, _CoherentState):
         raise TypeError(f"not a coherent state: {state!r}")
-    return globals()[state.FAMILY + "_amplitudes"](state, cutoff)
+    return globals()[state.FAMILY + "_amplitudes"](state)
 
 
 def number_prob(state, n: int) -> float:
     """|c_n|^2, the state's number distribution at the quantum number n."""
     sf.check_n(n)
-    return float(np.exp(sf.log_weight(state.FAMILY, state.k, state.modulus ** 2, n) - state.log_norm()))
+    family, k, r2 = state.FAMILY, state.k, state.modulus ** 2
+    return float(np.exp(sf.log_weight(family, k, r2, n) - sf.log_norm(family, k, r2)))
 
 
 def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
@@ -240,7 +224,7 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
         n, p = sf.bg_distribution(k, z_mod)
         return float(p @ (2.0 * k + n) ** -0.5)
     r2 = z_mod * z_mod
-    log_norm = sf.log_g_k(k, r2)
+    log_norm = sf.log_norm("bg", k, r2)
 
     def integrand(s):
         s = np.asarray(s)
@@ -291,7 +275,7 @@ def bg_overlap(k: float, z2, z1) -> complex:
     sf.check_finite("z2", z2)
     sf.check_finite("z1", z1)
     num = sf.g_k(k, np.conj(z2) * z1).value
-    log_den = 0.5 * (sf.log_g_k(k, abs(z2) ** 2) + sf.log_g_k(k, abs(z1) ** 2))
+    log_den = 0.5 * (sf.log_norm("bg", k, abs(z2) ** 2) + sf.log_norm("bg", k, abs(z1) ** 2))
     return num * math.exp(-log_den)
 
 
@@ -445,9 +429,9 @@ def cross_overlaps(k: float, alpha, z, lam) -> dict:
     _check_unit_disc(lam)
     c_k = cross_kernel_C(k, alpha.conjugate() * z)
     d_k = cross_kernel_D(k, alpha.conjugate() * lam)
-    log_sg = -0.5 * abs(alpha) ** 2
-    log_bg = -0.5 * sf.log_g_k(k, abs(z) ** 2)
-    log_pl = k * math.log1p(-abs(lam) ** 2)
+    log_sg = -0.5 * sf.log_norm("sg", k, abs(alpha) ** 2)
+    log_bg = -0.5 * sf.log_norm("bg", k, abs(z) ** 2)
+    log_pl = -0.5 * sf.log_norm("perelomov", k, abs(lam) ** 2)
     return {"C_k": c_k, "D_k": d_k,
             "overlap_az": _times_exp(c_k, log_sg + log_bg),
             "overlap_al": _times_exp(d_k, log_sg + log_pl),

@@ -4,11 +4,11 @@ tables, the lowering-operator (BG) distribution and the Bessel
 ratio rho_k behind `coherent`, and the checks of the index k, a quantum
 number and a complex argument.  numpy is the only third-party import.
 
-Every family's log weight is `log_weight` under the family's name:
-n log|parameter|^2 plus a constant minus or plus a gather from one cached,
-read-only table (`weight_table`, picked by the same name) of log (2k)_n and
-log n!, built as compensated sums of logs.  No table, window (`distribution`)
-or series goes past SERIES_MAX_TERMS terms; asking for more raises DomainError.
+A family ("bg", "perelomov" or "sg"; DomainError for any other name) is a
+table step and a normalizer: the unnormalized `log_weight` = n log r2 - T[n]
+at r2 = |parameter|^2, T a cached, read-only table (`weight_table`) of
+compensated sums of the steps, and `log_norm`, the only place a normalizer is
+written.  No table, window (`distribution`) or series passes SERIES_MAX_TERMS.
 
 Every BG moment, rho_k = x E[(2k+n)^{-1}] among them, is a sum over one
 number distribution (`bg_distribution`), not a difference of nearly equal
@@ -162,6 +162,22 @@ def distribution(log_w_of, mean: float) -> tuple:
 _TABLE_START = 64
 
 
+# family: (table step T[j+1] - T[j] at a = 2k, log normalizer at r2); log_g_k
+# is looked up at call time, so a wrapper put on the module global sees every call
+_FAMILIES = {
+    "bg": (lambda a, j: np.log(a + j) + np.log(j + 1.0), lambda k, r2: log_g_k(k, r2)),
+    "perelomov": (lambda a, j: -np.log1p((a - 1.0) / (j + 1.0)), lambda k, r2: -2.0 * k * math.log1p(-r2)),
+    "sg": (lambda a, j: np.log(j + 1.0), lambda k, r2: r2),
+}
+
+
+def _family(family: str) -> tuple:
+    """(step, log normalizer) of `family`; DomainError for any other name."""
+    if not (isinstance(family, str) and family in _FAMILIES):
+        raise DomainError(f"family must be one of {', '.join(_FAMILIES)}, not {family!r}")
+    return _FAMILIES[family]
+
+
 @functools.lru_cache(maxsize=32)
 def _table_slot(family: str, a: float | None) -> list:
     """A one-element list holding the (family, a) table, which grows in place;
@@ -184,14 +200,13 @@ def _prefix_sums(steps: np.ndarray) -> np.ndarray:
 
 def weight_table(family: str, a: float | None, size: int) -> np.ndarray:
     """The cached, read-only table T of a family's weight, at least `size`
-    entries long: T[m] = log (a)_m + log m! for "bg", log (a)_m - log m! for
-    "perelomov" and log m! for "sg" (a unused).  T[m] is the compensated sum
-    of the steps T[j+1] - T[j], j < m: log(a+j) + log(j+1), log1p((a-1)/(j+1))
-    and log(j+1).  So it is within about half an ulp, where a difference of
-    log Gamma values carries the rounding of its large terms, up to 2e-11 for
-    m < 8192.  A table grows by doubling from 64 entries up to
-    SERIES_MAX_TERMS and is filled anew at each size, so no entry depends on
-    the order of the calls; asking for more raises DomainError."""
+    entries long: T[m] = log (a)_m + log m! ("bg"), log m! - log (a)_m
+    ("perelomov") or log m! ("sg", a unused), the compensated sum of the
+    family's steps T[j+1] - T[j], j < m: within about half an ulp, where a
+    difference of log Gamma values is up to 2e-11 off for m < 8192.  It grows
+    by doubling from 64 entries up to SERIES_MAX_TERMS, filled anew at each
+    size so that no entry depends on the order of calls; DomainError beyond."""
+    step, _ = _family(family)
     slot = _table_slot(family, a)
     if len(slot[0]) < size:
         if size > SERIES_MAX_TERMS:
@@ -199,40 +214,40 @@ def weight_table(family: str, a: float | None, size: int) -> np.ndarray:
         new = max(len(slot[0]), _TABLE_START)
         while new < size:
             new *= 2
-        j = np.arange(min(new, SERIES_MAX_TERMS) - 1, dtype=float)
-        if family == "sg":
-            steps = np.log(j + 1.0)
-        elif family == "bg":
-            steps = np.log(a + j) + np.log(j + 1.0)
-        else:
-            steps = np.log1p((a - 1.0) / (j + 1.0))
-        slot[0] = _prefix_sums(steps)
+        slot[0] = _prefix_sums(step(a, np.arange(min(new, SERIES_MAX_TERMS) - 1, dtype=float)))
         slot[0].flags.writeable = False
     return slot[0]
 
 
-def weight_terms(family: str, a: float | None, n) -> np.ndarray:
-    """T[n] of `weight_table(family, a, ...)` for non-negative integers n, one
-    gather from the cached table, which grows on a miss."""
-    n = np.asarray(n, dtype=np.intp)
-    try:
-        return _table_slot(family, a)[0][n]
-    except IndexError:
-        return weight_table(family, a, int(n.max()) + 1)[n]
-
-
 def log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
-    """log of r2^n / ((2k)_n n!) ("bg", over g_k(r2)), (1-r2)^{2k} (2k)_n r2^n / n!
-    ("perelomov") or e^{-r2} r2^n / n! ("sg") at |parameter|^2 = r2 and integers
-    0 <= n < SERIES_MAX_TERMS; the zero parameter puts all weight on n = 0."""
+    """log r2^n e^{-T[n]}, the unnormalized weight at |parameter|^2 = r2 and
+    integers 0 <= n < SERIES_MAX_TERMS (all on n = 0 at r2 = 0), T the family's
+    `weight_table`: r2^n / ((2k)_n n!) ("bg"), (2k)_n r2^n / n! ("perelomov")
+    or r2^n / n! ("sg"); exp(log_weight - `log_norm`) is the number distribution."""
+    _family(family)
     n = np.asarray(n, dtype=np.intp)
     if r2 == 0.0:
         return np.where(n == 0, 0.0, -np.inf)
-    if family == "bg":
-        return n * math.log(r2) - weight_terms("bg", 2.0 * k, n)
-    if family == "perelomov":
-        return 2.0 * k * math.log1p(-r2) + n * math.log(r2) + weight_terms("perelomov", 2.0 * k, n)
-    return n * math.log(r2) - r2 - weight_terms("sg", None, n)
+    a = None if family == "sg" else 2.0 * k  # the SG table has no 2k
+    try:
+        t = _table_slot(family, a)[0][n]
+    except IndexError:
+        t = weight_table(family, a, int(n.max()) + 1)[n]
+    return n * math.log(r2) - t
+
+
+def log_norm(family: str, k: float, r2: float) -> float:
+    """log sum_n exp(log_weight(family, k, r2, n)): log g_k(r2) ("bg"),
+    -2k log(1 - r2) ("perelomov") or r2 ("sg").  DomainError where the sum
+    diverges, its `ratio_limit` not below 1: "perelomov" at r2 >= 1."""
+    if not ratio_limit(family, k, r2) < 1.0:
+        raise DomainError(f"the {family} weights diverge at |parameter|^2 = {r2!r}")
+    return _family(family)[1](k, r2)
+
+
+def ratio_limit(family: str, k: float, r2: float) -> float:
+    """lim_n w_{n+1} / w_n = r2 e^{-step(inf)}: r2 for "perelomov", 0 for "bg" and "sg"."""
+    return r2 * math.exp(-_family(family)[0](2.0 * k, math.inf))
 
 
 def bg_distribution(k: float, x: float) -> tuple:

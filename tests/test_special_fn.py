@@ -185,18 +185,17 @@ FAMILIES = {"bg": co.BGState, "perelomov": co.PerelomovState, "sg": co.SGState}
 
 
 def _mp_log_weight(family, k, r2, n):
-    """40-digit log weight, log norm and the sum S of the magnitudes of the
-    log terms; rounding each term in double leaves up to 2^-52 S in the log,
-    a relative error of that size in exp."""
+    """40-digit unnormalized log weight, the number probability and the sum S
+    of the magnitudes of the log terms and the log norm; rounding each term in
+    double leaves up to 2^-52 S in the log, a relative error of that size in exp."""
     with mp.workdps(40):
         a, x = 2 * mp.mpf(k), mp.mpf(r2)
         terms = [n * mp.log(x), -mp.loggamma(n + 1)]
-        log_norm = mp.mpf(0)
-        if family == "sg":
-            terms.append(-x)
-        elif family == "perelomov":
-            terms += [mp.loggamma(a + n) - mp.loggamma(a), a * mp.log(1 - x)]
-        else:
+        log_norm = x
+        if family == "perelomov":
+            terms.append(mp.loggamma(a + n) - mp.loggamma(a))
+            log_norm = -a * mp.log(1 - x)
+        elif family == "bg":
             terms.append(mp.loggamma(a) - mp.loggamma(a + n))
             log_norm = mp.log(mp.hyp0f1(a, x))
         log_w = mp.fsum(terms)
@@ -204,8 +203,60 @@ def _mp_log_weight(family, k, r2, n):
         return float(log_w), float(mp.exp(log_w - log_norm)), float(size)
 
 
+# each family's moduli over its whole domain
+NORM_MODULI = {"bg": (1e-3, 0.1, 1.0, 20.0, 300.0, 1e3),
+               "perelomov": (1e-3, 0.1, 0.5, 0.9, 0.99),
+               "sg": (1e-3, 0.1, 1.0, 5.0, 30.0, 100.0)}
+
+
+def _window_log_mass(family, k, r2):
+    """log of the sum of the weights over n < N, N doubled from 64 until the
+    mass past N is below 1e-40 of the sum.  That mass is bounded
+    geometrically: no later weight ratio exceeds the larger of the last one
+    and its limit, r2 for Perelomov and 0 otherwise.  The largest weight is
+    kept out of the sum, so log1p keeps a log mass near 0 accurate."""
+    size = 64
+    while True:
+        lw = sf.log_weight(family, k, r2, np.arange(size))
+        top = int(np.argmax(lw))
+        log_mass = lw[top] + math.log1p(float(np.sum(np.exp(np.delete(lw, top) - lw[top]))))
+        log_q = lw[-1] - lw[-2]
+        if family == "perelomov":
+            log_q = max(log_q, math.log(r2))
+        if log_q < 0 and lw[-1] + log_q - math.log1p(-math.exp(log_q)) < log_mass + math.log(1e-40):
+            return log_mass
+        size *= 2
+
+
 class TestWeightTables:
-    """The cached tables behind every family's log weight."""
+    """The cached tables behind every family's log weight, and its normalizer."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("k", TABLE_K)
+    def test_normalizer_sums_the_weights(self, family, k):
+        # relative to max(1, |log N|), as for log_g_k: below log N = 1 the bound is
+        # relative in N itself, because log_g_k takes the log of a sum rounded near 1
+        # (1.1e-8 relative, 1.1e-16 absolute, at k = 50, |z| = 1e-3)
+        for m in NORM_MODULI[family]:
+            want = sf.log_norm(family, k, m * m)
+            got = _window_log_mass(family, k, m * m)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (m, got, want)
+
+    @pytest.mark.parametrize("r2", [1.0, 1.5, math.inf])
+    def test_perelomov_normalizer_diverges_outside_the_disc(self, r2):
+        with pytest.raises(sf.DomainError, match="diverge"):
+            sf.log_norm("perelomov", 1.0, r2)
+
+    @pytest.mark.parametrize("family", ["BG", "poisson", ""])
+    def test_unknown_family_rejected(self, family):
+        # "BG" gave the SG weight and "poisson" built and cached a Perelomov table
+        misses = sf._table_slot.cache_info().misses
+        for call in (lambda: sf.log_weight(family, 1.0, 4.0, 3), lambda: sf.log_weight(family, 1.0, 0.0, 3),
+                     lambda: sf.weight_table(family, 2.0, 4), lambda: sf.log_norm(family, 1.0, 4.0),
+                     lambda: sf.ratio_limit(family, 1.0, 0.25)):
+            with pytest.raises(sf.DomainError, match="family must be one of bg, perelomov, sg"):
+                call()
+        assert sf._table_slot.cache_info().misses == misses
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("k", TABLE_K)
@@ -261,7 +312,7 @@ class TestWeightTables:
         sf.weight_table("perelomov", keep, 1)
         for i in range(40):
             sf.weight_table("perelomov", keep + 1.0 + i / 64, 1)
-            sf.weight_terms("perelomov", keep, [3])
+            sf.log_weight("perelomov", keep / 2, 0.5, [3])  # reads the table of 2k = keep
         assert sf._table_slot.cache_info().currsize == 32
         assert len(sf._table_slot("perelomov", keep)[0]) == 64
         assert len(sf._table_slot("perelomov", keep + 1.0)[0]) == 0  # evicted: a new, empty slot
