@@ -130,38 +130,18 @@ class StateVector:
 
 def _grow_until_tail(log_weight, phase, ratio_limit):
     """Assemble normalized coefficients |c_n| phase^n from log|c_n| values, growing the
-    basis geometrically from 64 terms until the tail norm estimate drops below TAIL_TOL.
-
-    On a window of N terms the tail is bounded by a geometric envelope: with
-    q the larger of the last ratio |c_{N-1}|^2 / |c_{N-2}|^2 and
-    `ratio_limit`, no later ratio exceeds q, so the squared tail norm is at
-    most |c_{N-1}|^2 q / (1 - q).  The ratios of all three families decrease
-    in n, except Perelomov's at 2k < 1, which rise towards |lambda|^2, the
-    `sf.ratio_limit` passed as `ratio_limit`.  The ratio is taken in log
-    domain, so a window whose weights all underflow (its mass lies beyond)
-    grows instead of passing for empty.  The naive 1 - sum(|c_n|^2) would
-    bottom out at sqrt(eps) ~ 1.5e-8.
-
-    The tail is exactly zero only when the last log weight is -inf: finite
-    support inside the window, which happens for the zero parameter.
-    Raises CutoffExhausted when no window up to MAX_CUTOFF bounds the tail,
-    and NormDefect when the assembled norm misses 1 - tail^2 by more than
-    TAIL_TOL.
+    basis geometrically from 64 terms until the tail norm, bounded by `sf.log_tail_bound`
+    on the |c_n|^2, drops below TAIL_TOL; 1 - sum(|c_n|^2) would bottom out at sqrt(eps).
+    Raises CutoffExhausted when no window up to MAX_CUTOFF bounds the tail, and
+    NormDefect when the assembled norm misses 1 - tail^2 by more than TAIL_TOL.
     """
     n_dim = 64
     while True:
         logw = log_weight(np.arange(n_dim))
-        if np.isneginf(logw[-1]):
-            tail_norm = 0.0  # exactly finite support (parameter zero)
+        log_tail_sq = sf.log_tail_bound(2.0 * logw[-2], 2.0 * logw[-1], ratio_limit)
+        if log_tail_sq < 2.0 * math.log(TAIL_TOL):
+            tail_norm = math.exp(0.5 * log_tail_sq)
             break
-        log_ratio = 2.0 * (logw[-1] - logw[-2])
-        if ratio_limit > 0.0:
-            log_ratio = max(log_ratio, math.log(ratio_limit))
-        if log_ratio < 0.0:
-            log_tail_sq = 2.0 * logw[-1] + log_ratio - math.log1p(-math.exp(log_ratio))
-            if log_tail_sq < 2.0 * math.log(TAIL_TOL):
-                tail_norm = math.exp(0.5 * log_tail_sq)
-                break
         if n_dim >= MAX_CUTOFF:
             raise CutoffExhausted(
                 f"tail norm above {TAIL_TOL:g} at cutoff {MAX_CUTOFF}")
@@ -217,11 +197,10 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
     NEAR_MODULUS the sum of (2k+n)^{-1/2} over the number distribution, else
     the Laplace-transform integral evaluated in log domain (substituting
     t = s^2 removes the endpoint singularity)."""
-    sf.check_k(k)
     if not 0.0 <= z_mod < math.inf:
         raise sf.DomainError(f"inv_sqrt_k0_expectation requires a finite |z| >= 0, not {z_mod!r}")
     if z_mod <= NEAR_MODULUS:
-        n, p = sf.bg_distribution(k, z_mod)
+        n, p = sf.distribution("bg", k, z_mod * z_mod)
         return float(p @ (2.0 * k + n) ** -0.5)
     r2 = z_mod * z_mod
     log_norm = sf.log_norm("bg", k, r2)
@@ -237,11 +216,11 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
 
 def bg_expectations(k: float, z) -> dict:
     """Moments of K0, K1, K2 and the number operator in a lowering-operator
-    eigenstate from one `sf.bg_distribution`, and <(K0+k)^{-1/2}> past NEAR_MODULUS
+    eigenstate from one BG `sf.distribution`, and <(K0+k)^{-1/2}> past NEAR_MODULUS
     from `inv_sqrt_k0_expectation`.  Mandel's Q and R = Q/Nbar are None at z = 0."""
     z = complex(z)
     r = abs(z)
-    n, p = sf.bg_distribution(k, r)
+    n, p = sf.distribution("bg", k, r * r)
     phi = cmath.phase(z)
     nbar = float(p @ n)
     k0 = k + nbar
@@ -332,11 +311,10 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     The sums run over `sf.distribution`'s window from n = 0, which passes
     SERIES_MAX_TERMS above |alpha| ~ 440: DomainError there and for |alpha| < 0.
     """
-    sf.check_k(k)
     if not 0.0 <= alpha_mod < math.inf:
         raise sf.DomainError(f"|alpha| must be finite and >= 0, not {alpha_mod!r}")
     x = alpha_mod ** 2
-    n, p = sf.distribution(lambda n: sf.log_weight("sg", k, x, n), x)
+    n, p = sf.distribution("sg", k, x)
     a = n + 2.0 * k
     sqrt_a = np.sqrt(a)
     h1 = float(p @ sqrt_a)

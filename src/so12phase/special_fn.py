@@ -1,20 +1,16 @@
 """Special-function kernel: the entire kernel 0F1(2k; w) (`g_k`, and
-`log_g_k` in log domain for real w), every family's number weight and its
-tables, the lowering-operator (BG) distribution and the Bessel
-ratio rho_k behind `coherent`, and the checks of the index k, a quantum
-number and a complex argument.  numpy is the only third-party import.
+`log_g_k` in log domain for real w), every family's number distribution and
+the Bessel ratio rho_k behind `coherent`, and the checks of the index k, a
+quantum number and a complex argument.  numpy is the only third-party import.
 
-A family ("bg", "perelomov" or "sg"; DomainError for any other name) is a
-table step and a normalizer: the unnormalized `log_weight` = n log r2 - T[n]
-at r2 = |parameter|^2, T a cached, read-only table (`weight_table`) of
-compensated sums of the steps, and `log_norm`, the only place a normalizer is
-written.  No table, window (`distribution`) or series passes SERIES_MAX_TERMS.
-
-Every BG moment, rho_k = x E[(2k+n)^{-1}] among them, is a sum over one
-number distribution (`bg_distribution`), not a difference of nearly equal
-closed forms in rho_k.  Both take finite x >= 0 up to about 1.94e5, where
-`log_g_k` stops too, and raise DomainError beyond.  For k < 1/4 rho_k can
-exceed 1, and does: that is the Bessel ratio, not rounding.
+A family ("bg", "perelomov" or "sg") is a table step, a normalizer and a mean:
+the unnormalized `log_weight` = n log r2 - T[n] at r2 = |parameter|^2, T a
+cached, read-only table (`weight_table`) of compensated sums of the steps;
+`log_norm`, the only place a normalizer is written; and the mean that sizes
+the one `distribution`.  Every moment sum, rho_k's among them, runs over it,
+not over a difference of nearly equal closed forms.  One gate checks the
+family API's arguments (DomainError).  No table, window or series passes
+SERIES_MAX_TERMS: BG stops at x = sqrt(r2) ~ 1.94e5, as `log_g_k` does.
 
 One engine, `ratio_series`, sums every term-ratio series: `g_k` and
 `log_g_k` here, C_k and D_k in `coherent`.  It is Kahan-compensated, stops
@@ -136,7 +132,9 @@ def g_k(k: float, w) -> EvalResult:
 
 def log_g_k(k: float, w: float) -> float:
     """log 0F1(2k; w) for finite real w >= 0 up to about 3.6e10 (beyond, the
-    term cap raises DomainError): `g_k`'s series, log value + scale ln 2."""
+    term cap raises DomainError): `g_k`'s series, log value + scale ln 2.  Its
+    error is absolute, about 1e-16, so relative to a log near 0 it grows as w
+    falls: log_g_k(50, 1e-6) is 1.1e-8 off."""
     if not 0.0 <= w < math.inf:
         raise DomainError(f"log_g_k requires a finite w >= 0, not {w!r}")
     check_k(k)
@@ -144,37 +142,33 @@ def log_g_k(k: float, w: float) -> float:
     return math.log(res.value) + res.scale * math.log(2.0)
 
 
-def distribution(log_w_of, mean: float) -> tuple:
-    """(n, p) over n = 0 ... mean + 14 sqrt(mean + 1) + 60, beyond which a BG or
-    SG distribution of that mean holds less than 1e-40 of its weight; p is
-    proportional to exp(log_w_of(n)), normalized in log domain.  DomainError,
-    before anything is allocated, where the window passes SERIES_MAX_TERMS."""
-    size = int(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0) + 1
-    if size > SERIES_MAX_TERMS:
-        raise DomainError(f"the window at mean {mean!r} passes {SERIES_MAX_TERMS} terms")
-    n = np.arange(size, dtype=float)
-    log_w = log_w_of(n)
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
-    return n, w
-
-
 _TABLE_START = 64
 
 
-# family: (table step T[j+1] - T[j] at a = 2k, log normalizer at r2); log_g_k
-# is looked up at call time, so a wrapper put on the module global sees every call
+# family: (table step T[j+1] - T[j] at a = 2k, log normalizer and mean at r2, "bg"'s within
+# about k); log_g_k is looked up at call time, so a wrapper on the module global sees every call
 _FAMILIES = {
-    "bg": (lambda a, j: np.log(a + j) + np.log(j + 1.0), lambda k, r2: log_g_k(k, r2)),
-    "perelomov": (lambda a, j: -np.log1p((a - 1.0) / (j + 1.0)), lambda k, r2: -2.0 * k * math.log1p(-r2)),
-    "sg": (lambda a, j: np.log(j + 1.0), lambda k, r2: r2),
+    "bg": (lambda a, j: np.log(a + j) + np.log(j + 1.0), lambda k, r2: log_g_k(k, r2),
+           lambda k, r2: math.sqrt(r2)),
+    "perelomov": (lambda a, j: -np.log1p((a - 1.0) / (j + 1.0)), lambda k, r2: -2.0 * k * math.log1p(-r2),
+                  lambda k, r2: 2.0 * k * r2 / (1.0 - r2)),
+    "sg": (lambda a, j: np.log(j + 1.0), lambda k, r2: r2, lambda k, r2: r2),
 }
+# e^{-step(inf)}, the same at every a: `ratio_limit` is r2 times it
+_LIMITS = {name: math.exp(-entry[0](1.0, math.inf)) for name, entry in _FAMILIES.items()}
 
 
-def _family(family: str) -> tuple:
-    """(step, log normalizer) of `family`; DomainError for any other name."""
+def _family(family: str, k: float = 1.0, r2: float = 0.0) -> tuple:
+    """(step, log normalizer, mean) of `family`, after the one check of the family API's
+    arguments (the defaults pass): DomainError for any other name, for k not positive and
+    finite, for r2 not >= 0 and where the weights' sum diverges (r2 = inf or ratio limit >= 1)."""
     if not (isinstance(family, str) and family in _FAMILIES):
         raise DomainError(f"family must be one of {', '.join(_FAMILIES)}, not {family!r}")
+    check_k(k)
+    if not r2 >= 0.0:
+        raise DomainError(f"r2 = |parameter|^2 must be >= 0, not {r2!r}")
+    if not (r2 < math.inf and r2 * _LIMITS[family] < 1.0):
+        raise DomainError(f"the {family} weights diverge at r2 = |parameter|^2 = {r2!r}")
     return _FAMILIES[family]
 
 
@@ -205,8 +199,11 @@ def weight_table(family: str, a: float | None, size: int) -> np.ndarray:
     family's steps T[j+1] - T[j], j < m: within about half an ulp, where a
     difference of log Gamma values is up to 2e-11 off for m < 8192.  It grows
     by doubling from 64 entries up to SERIES_MAX_TERMS, filled anew at each
-    size so that no entry depends on the order of calls; DomainError beyond."""
-    step, _ = _family(family)
+    size so that no entry depends on the order of calls; DomainError beyond and,
+    before any slot is made, for an `a` neither None nor positive and finite."""
+    step = _family(family)[0]
+    if not (a is None or 0.0 < a < math.inf):
+        raise DomainError(f"a = 2k must be positive and finite, not {a!r}")
     slot = _table_slot(family, a)
     if len(slot[0]) < size:
         if size > SERIES_MAX_TERMS:
@@ -224,7 +221,12 @@ def log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
     integers 0 <= n < SERIES_MAX_TERMS (all on n = 0 at r2 = 0), T the family's
     `weight_table`: r2^n / ((2k)_n n!) ("bg"), (2k)_n r2^n / n! ("perelomov")
     or r2^n / n! ("sg"); exp(log_weight - `log_norm`) is the number distribution."""
-    _family(family)
+    _family(family, k, r2)
+    return _log_weight(family, k, r2, n)
+
+
+def _log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
+    """`log_weight` on arguments that have passed `_family`."""
     n = np.asarray(n, dtype=np.intp)
     if r2 == 0.0:
         return np.where(n == 0, 0.0, -np.inf)
@@ -238,36 +240,60 @@ def log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
 
 def log_norm(family: str, k: float, r2: float) -> float:
     """log sum_n exp(log_weight(family, k, r2, n)): log g_k(r2) ("bg"),
-    -2k log(1 - r2) ("perelomov") or r2 ("sg").  DomainError where the sum
-    diverges, its `ratio_limit` not below 1: "perelomov" at r2 >= 1."""
-    if not ratio_limit(family, k, r2) < 1.0:
-        raise DomainError(f"the {family} weights diverge at |parameter|^2 = {r2!r}")
-    return _family(family)[1](k, r2)
+    -2k log(1 - r2) ("perelomov") or r2 ("sg")."""
+    return _family(family, k, r2)[1](k, r2)
 
 
 def ratio_limit(family: str, k: float, r2: float) -> float:
     """lim_n w_{n+1} / w_n = r2 e^{-step(inf)}: r2 for "perelomov", 0 for "bg" and "sg"."""
-    return r2 * math.exp(-_family(family)[0](2.0 * k, math.inf))
+    _family(family, k, r2)
+    return r2 * _LIMITS[family]
 
 
-def bg_distribution(k: float, x: float) -> tuple:
-    """(n, p): p_n = x^{2n} / ((2k)_n n! g_k(x^2)), the number distribution of a BG
-    state of modulus x; delta_0 where x^2 is 0.  DomainError for x outside [0, inf)
-    and past x ~ 1.94e5, where the window, never built, would pass SERIES_MAX_TERMS."""
-    check_k(k)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"bg_distribution requires a finite x >= 0, not {x!r}")
-    if x * x == 0.0:
-        return np.zeros(1), np.ones(1)
-    return distribution(lambda n: log_weight("bg", k, x * x, n), x)
+def log_tail_bound(log_prev: float, log_last: float, ratio_limit: float) -> float:
+    """log of the envelope bound w_last q / (1 - q) on the weights past w_last, q the larger
+    of w_last / w_prev and `ratio_limit` (inf where q >= 1; -inf where w_last = 0, the zero
+    parameter).  No later ratio exceeds q: every family's ratios fall in n, but Perelomov's
+    at 2k < 1 rise towards its ratio limit.  In logs, weights that all underflow still get a ratio."""
+    if log_last == -math.inf:
+        return -math.inf
+    log_q = log_last - log_prev
+    if ratio_limit > 0.0:
+        log_q = max(log_q, math.log(ratio_limit))
+    if not log_q < 0.0:
+        return math.inf
+    return log_last + log_q - math.log1p(-math.exp(log_q))
+
+
+def distribution(family: str, k: float, r2: float) -> tuple:
+    """(n, p), the family's number distribution exp(log_weight - log_norm) at r2 over
+    n = 0 ... N - 1, normalized in log domain.  N is first mean + 14 sqrt(mean + 1) + 60,
+    past which a BG or SG law (ratio limit 0) holds less than 1e-40 of its peak weight;
+    where the ratio limit is positive (Perelomov, a geometric tail) N doubles until
+    `log_tail_bound` is below 1e-40 of the peak.  DomainError past SERIES_MAX_TERMS."""
+    mean = _family(family, k, r2)[2](k, r2)
+    q = r2 * _LIMITS[family]
+    size = int(min(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0, SERIES_MAX_TERMS)) + 1
+    while size <= SERIES_MAX_TERMS:
+        n = np.arange(size, dtype=float)
+        log_w = _log_weight(family, k, r2, n)
+        peak = log_w.max()
+        if not q > 0.0 or log_tail_bound(log_w[-2], log_w[-1], q) < peak + math.log(1e-40):
+            w = np.exp(log_w - peak)
+            w /= w.sum()
+            return n, w
+        size *= 2
+    raise DomainError(f"the {family} window at mean {mean!r} passes {SERIES_MAX_TERMS} terms")
 
 
 def rho_k(k: float, x: float) -> float:
-    """Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) = x E[(2k+n)^{-1}] over
-    `bg_distribution(k, x)`, whose domain it shares.  Below 1 for k >= 1/4,
-    where a value rounded above 1 is returned as 1; for k in (0, 1/4) it can
+    """Bessel ratio I_{2k}(2x) / I_{2k-1}(2x) = x E[(2k+n)^{-1}] over the BG `distribution`
+    at r2 = x^2, finite x >= 0 up to about 1.94e5 (beyond, DomainError).  Below 1 for
+    k >= 1/4, where a value rounded above 1 is returned as 1; for k in (0, 1/4) it can
     truly exceed 1: rho_k(0.05, 0.5) = 1.6350141505724103."""
-    n, p = bg_distribution(k, x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"rho_k requires a finite x >= 0, not {x!r}")
+    n, p = distribution("bg", k, x * x)
     rho = x * float(p @ (1.0 / (2.0 * k + n)))
     return min(rho, 1.0) if k >= 0.25 else rho
 

@@ -177,16 +177,16 @@ class TestBGExpectations:
 
     def test_one_distribution_per_call(self, monkeypatch):
         # every moment up to NEAR_MODULUS reads one shared distribution
-        calls, build = [], sf.bg_distribution
+        calls, build = [], sf.distribution
 
-        def counted(k, x):
-            calls.append(x)
-            return build(k, x)
+        def counted(family, k, r2):
+            calls.append((family, r2))
+            return build(family, k, r2)
 
-        monkeypatch.setattr(sf, "bg_distribution", counted)
+        monkeypatch.setattr(sf, "distribution", counted)
         for r in (0.0, 1.0, co.NEAR_MODULUS):
             co.bg_expectations(0.5, r)
-        assert calls == [0.0, 1.0, co.NEAR_MODULUS]
+        assert calls == [("bg", 0.0), ("bg", 1.0), ("bg", co.NEAR_MODULUS ** 2)]
 
     def test_a_expectation_matrix_oracle(self):
         k, z = 1.0, 1.5j

@@ -275,7 +275,7 @@ class TestWeightTables:
     @pytest.mark.parametrize("k", TABLE_K)
     def test_bg_window_far_out(self, k):
         x = 1e4
-        n, p = sf.bg_distribution(k, x)
+        n, p = sf.distribution("bg", k, x * x)
         for i in (9000, 10000, 11000, len(n) - 1):
             _, prob, size = _mp_log_weight("bg", k, x * x, i)
             assert abs(p[i] - prob) <= (1e-12 + 2.0 ** -52 * size) * prob, (i, p[i], prob)
@@ -362,13 +362,76 @@ class TestRhoK:
         # past x ~ 1.94e5 the BG window would pass SERIES_MAX_TERMS; log_g_k
         # stops at the same x
         assert sf.rho_k(1.0, 1.9e5) == pytest.approx(sf.rho_k_asymptotic(1.0, 1.9e5), rel=1e-13)
-        for fn in (sf.rho_k, sf.bg_distribution, co.bg_expectations):
+        for fn in (sf.rho_k, lambda k, x: sf.distribution("bg", k, x * x), co.bg_expectations):
             with pytest.raises(sf.DomainError, match="passes 200000 terms"):
                 fn(1.0, 2e5)
 
     def test_distribution_at_zero_is_ground(self):
-        n, p = sf.bg_distribution(0.7, 0.0)
-        assert n.tolist() == [0.0] and p.tolist() == [1.0]
+        n, p = sf.distribution("bg", 0.7, 0.0)
+        assert n.tolist() == list(range(len(n))) and p.tolist() == [1.0] + [0.0] * (len(n) - 1)
+
+
+class TestDistribution:
+    """The one number distribution of every family and its window."""
+
+    @pytest.mark.parametrize("k", [0.05, 0.25, 1.0, 20.0])
+    def test_perelomov_mean_and_variance_near_the_edge_of_the_disc(self, k):
+        # the window mean + 14 sqrt(mean + 1) + 60 alone left out 1.7e-2 of the
+        # mass at k = 1, |lambda| = 0.99; the geometric tail doubles it
+        for lam in (0.5, 0.9, 0.99, 0.999):
+            n, p = sf.distribution("perelomov", k, lam * lam)
+            mean = float(p @ n)
+            ex = co.perelomov_expectations(k, lam)
+            assert mean == pytest.approx(ex["Nbar"], rel=5e-14, abs=0), lam
+            assert float(p @ (n - mean) ** 2) == pytest.approx(ex["var_N"], rel=5e-14, abs=0), lam
+
+    @pytest.mark.parametrize("k", [0.05, 1.0, 20.0])
+    def test_perelomov_window_past_the_cap(self, k):
+        with pytest.raises(sf.DomainError, match="passes 200000 terms"):
+            sf.distribution("perelomov", k, 0.9999 ** 2)
+
+    def test_first_window_bounds_the_tail(self):
+        # BG and SG have ratio limit 0, so their first window is returned
+        # unchecked: its envelope bound must lie below 1e-40 of the peak.  The
+        # worst case is SG near |alpha| = 440 (3.6e-42, hence the fine grid
+        # there; BG's is 2e-85 at |z| = 1.9e5); SG weights do not depend on k
+        cases = [("bg", k, x * x) for k in (0.005, 0.05, 0.25, 1.0, 3.0, 20.0, 200.0, 1000.0)
+                 for x in np.geomspace(1e-3, 1.9e5, 25)]
+        cases += [("sg", 1.0, a * a) for a in np.concatenate([np.linspace(0.0, 430.0, 87),
+                                                              np.linspace(430.05, 440.0, 200)])]
+        for family, k, r2 in cases:
+            n, p = sf.distribution(family, k, r2)
+            log_w = sf.log_weight(family, k, r2, n.astype(int))
+            bound = sf.log_tail_bound(log_w[-2], log_w[-1], sf.ratio_limit(family, k, r2))
+            assert bound < log_w.max() + math.log(1e-40), (family, k, r2)
+
+
+# family API calls that returned a value or nan, raised a bare ValueError,
+# named the wrong cause or cached a NaN table
+FAMILY_API_HOLES = {
+    "log_weight r2 nan": lambda: sf.log_weight("bg", 1.0, math.nan, 3),
+    "log_weight r2 -4": lambda: sf.log_weight("bg", 1.0, -4.0, 3),
+    "log_weight r2 inf": lambda: sf.log_weight("bg", 1.0, math.inf, 3),
+    "log_weight k nan": lambda: sf.log_weight("bg", math.nan, 4.0, 3),
+    "log_weight k -1": lambda: sf.log_weight("bg", -1.0, 4.0, 3),
+    "log_norm r2 -1": lambda: sf.log_norm("sg", 1.0, -1.0),
+    "log_norm k nan": lambda: sf.log_norm("bg", math.nan, 1.0),
+    "ratio_limit r2 nan": lambda: sf.ratio_limit("bg", 1.0, math.nan),
+    "ratio_limit r2 -1": lambda: sf.ratio_limit("sg", 1.0, -1.0),
+    "weight_table a -2": lambda: sf.weight_table("bg", -2.0, 10),
+    "weight_table a nan": lambda: sf.weight_table("perelomov", math.nan, 10),
+    "distribution r2 -1": lambda: sf.distribution("sg", 1.0, -1.0),
+    "distribution r2 1": lambda: sf.distribution("perelomov", 1.0, 1.0),
+    "distribution family": lambda: sf.distribution("poisson", 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_API_HOLES))
+def test_family_api_checks_its_arguments(name):
+    misses = sf._table_slot.cache_info().misses
+    with pytest.raises(sf.DomainError):
+        FAMILY_API_HOLES[name]()
+    assert sf._table_slot.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf], ids=["nan", "inf"])
@@ -387,7 +450,7 @@ K_CHECKED = {
     "g_k": lambda k: sf.g_k(k, 1.0),
     "log_g_k": lambda k: sf.log_g_k(k, 1.0),
     "rho_k": lambda k: sf.rho_k(k, 1.0),
-    "bg_distribution": lambda k: sf.bg_distribution(k, 1.0),
+    "bg_distribution": lambda k: sf.distribution("bg", k, 1.0),
     "rho_k_asymptotic": lambda k: sf.rho_k_asymptotic(k, 1.0),
     "rho_k_small_x": lambda k: sf.rho_k_small_x(k, 1.0),
     "bg_expectations": lambda k: co.bg_expectations(k, 1.0),
@@ -427,9 +490,9 @@ ARG_CHECKED = {
     "rho_k": (lambda v: sf.rho_k(1.0, v), "finite x >= 0"),
     "rho_k_asymptotic": (lambda v: sf.rho_k_asymptotic(1.0, v), "finite x > 0"),
     "rho_k_small_x": (lambda v: sf.rho_k_small_x(1.0, v), "finite x >= 0"),
-    "bg_distribution": (lambda v: sf.bg_distribution(1.0, v), "finite x >= 0"),
+    "bg_distribution": (lambda v: sf.distribution("bg", 1.0, v * v), r"r2 = \|parameter\|\^2"),
     "inv_sqrt_k0_expectation": (lambda v: co.inv_sqrt_k0_expectation(1.0, v), r"finite \|z\| >= 0"),
-    "bg_expectations": (lambda v: co.bg_expectations(1.0, v), "finite x >= 0"),
+    "bg_expectations": (lambda v: co.bg_expectations(1.0, v), r"r2 = \|parameter\|\^2"),
     "BGState": (lambda v: co.BGState(1.0, v), "z must be finite"),
     "PerelomovState": (lambda v: co.PerelomovState(1.0, v), "lam must be finite"),
     "SGState": (lambda v: co.SGState(1.0, v), "alpha must be finite"),
