@@ -201,7 +201,8 @@ def inv_sqrt_k0_expectation(k: float, z_mod: float) -> float:
         raise sf.DomainError(f"inv_sqrt_k0_expectation requires a finite |z| >= 0, not {z_mod!r}")
     if z_mod <= NEAR_MODULUS:
         n, p = sf.distribution("bg", k, z_mod * z_mod)
-        return float(p @ (2.0 * k + n) ** -0.5)
+        n += 2.0 * k  # the window's own buffer, now 2k + n
+        return float(p.dot(n ** -0.5))
     r2 = z_mod * z_mod
     log_norm = sf.log_norm("bg", k, r2)
 
@@ -222,11 +223,12 @@ def bg_expectations(k: float, z) -> dict:
     r = abs(z)
     n, p = sf.distribution("bg", k, r * r)
     phi = cmath.phase(z)
-    nbar = float(p @ n)
+    nbar = float(p.dot(n))
     k0 = k + nbar
-    var_k0 = float(p @ (n - nbar) ** 2)
-    q = float(p @ (n * (n - 1.0))) / nbar - nbar if nbar > 0 else None
-    inv_sqrt = float(p @ (2.0 * k + n) ** -0.5) if r <= NEAR_MODULUS else inv_sqrt_k0_expectation(k, r)
+    var_k0 = float(p.dot((n - nbar) ** 2))
+    q = float(p.dot(n * (n - 1.0))) / nbar - nbar if nbar > 0 else None
+    n += 2.0 * k  # the window's own buffer, now 2k + n
+    inv_sqrt = float(p.dot(n ** -0.5)) if r <= NEAR_MODULUS else inv_sqrt_k0_expectation(k, r)
     return {
         "K0": k0,
         "K0_sq": k * k + r * r + nbar,
@@ -243,7 +245,7 @@ def bg_expectations(k: float, z) -> dict:
         "var_K2": 0.5 * k0,
         "anticomm_K1K2": -r * r * math.sin(2.0 * phi),
         "S_corr": 0.0,
-        "E_inv": float(p @ (1.0 / (2.0 * k + n))),
+        "E_inv": float(p.dot(1.0 / n)),
         "a_expect": z * inv_sqrt,
     }
 
@@ -314,14 +316,14 @@ def sg_sums(k: float, alpha_mod: float) -> dict:
     if not 0.0 <= alpha_mod < math.inf:
         raise sf.DomainError(f"|alpha| must be finite and >= 0, not {alpha_mod!r}")
     x = alpha_mod ** 2
-    n, p = sf.distribution("sg", k, x)
-    a = n + 2.0 * k
+    a, p = sf.distribution("sg", k, x)
+    a += 2.0 * k  # the window's own buffer, now N + 2k
     sqrt_a = np.sqrt(a)
-    h1 = float(p @ sqrt_a)
-    delta = float(p @ (-0.25 / (np.sqrt(a * (a + 1.0)) + a + 0.5)))
+    h1 = float(p.dot(sqrt_a))
+    delta = float(p.dot(-0.25 / (np.sqrt(a * (a + 1.0)) + a + 0.5)))
     return {"h1": h1, "h2": x + 2.0 * k + 0.5 + delta,
             "h": 0.25 * x - 0.5 * x * delta + 0.5 * k,
-            "diff": 0.5 + delta + float(p @ (sqrt_a - h1) ** 2)}
+            "diff": 0.5 + delta + float(p.dot((sqrt_a - h1) ** 2))}
 
 
 def sg_expectations(k: float, alpha) -> dict:

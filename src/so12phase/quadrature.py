@@ -3,9 +3,13 @@ the integral representations in `coherent`."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 PANELS, NODES, MAX_DOUBLINGS, RTOL = 8, 64, 6, 1e-12
+# computed on first use, not at import: importing np.polynomial takes about 20 ms
+_legendre_nodes = functools.cache(lambda: np.polynomial.legendre.leggauss(NODES))
 
 
 def gauss_legendre_panels(f, a, b):
@@ -16,7 +20,7 @@ def gauss_legendre_panels(f, a, b):
     f must accept a numpy array of abscissae and return array values
     (complex allowed).  Returns (value, error_estimate).
     """
-    x0, w0 = np.polynomial.legendre.leggauss(NODES)
+    x0, w0 = _legendre_nodes()
 
     def estimate(npanels):
         edges = np.linspace(a, b, npanels + 1)

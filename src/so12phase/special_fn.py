@@ -7,9 +7,10 @@ A family ("bg", "perelomov" or "sg") is a table step, a normalizer and a mean:
 the unnormalized `log_weight` = n log r2 - T[n] at r2 = |parameter|^2, T a
 cached, read-only table (`weight_table`) of compensated sums of the steps;
 `log_norm`, the only place a normalizer is written; and the mean that sizes
-the one `distribution`.  Every moment sum, rho_k's among them, runs over it,
-not over a difference of nearly equal closed forms.  One gate checks the
-family API's arguments (DomainError).  No table, window or series passes
+the one `distribution`, built in one buffer from the table's prefix T[:N],
+its window being n = 0 ... N - 1.  Every moment sum, rho_k's among them, runs
+over it, not over a difference of nearly equal closed forms.  One gate checks
+the family API's arguments (DomainError).  No table, window or series passes
 SERIES_MAX_TERMS: BG stops at x = sqrt(r2) ~ 1.94e5, as `log_g_k` does.
 
 One engine, `ratio_series`, sums every term-ratio series: `g_k` and
@@ -222,11 +223,6 @@ def log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
     `weight_table`: r2^n / ((2k)_n n!) ("bg"), (2k)_n r2^n / n! ("perelomov")
     or r2^n / n! ("sg"); exp(log_weight - `log_norm`) is the number distribution."""
     _family(family, k, r2)
-    return _log_weight(family, k, r2, n)
-
-
-def _log_weight(family: str, k: float, r2: float, n) -> np.ndarray:
-    """`log_weight` on arguments that have passed `_family`."""
     n = np.asarray(n, dtype=np.intp)
     if r2 == 0.0:
         return np.where(n == 0, 0.0, -np.inf)
@@ -274,12 +270,17 @@ def distribution(family: str, k: float, r2: float) -> tuple:
     mean = _family(family, k, r2)[2](k, r2)
     q = r2 * _LIMITS[family]
     size = int(min(mean + 14.0 * math.sqrt(mean + 1.0) + 60.0, SERIES_MAX_TERMS)) + 1
+    if r2 == 0.0:  # all weight on n = 0
+        return np.arange(size, dtype=float), np.eye(1, size).ravel()
+    a = None if family == "sg" else 2.0 * k  # the SG table has no 2k
     while size <= SERIES_MAX_TERMS:
         n = np.arange(size, dtype=float)
-        log_w = _log_weight(family, k, r2, n)
-        peak = log_w.max()
-        if not q > 0.0 or log_tail_bound(log_w[-2], log_w[-1], q) < peak + math.log(1e-40):
-            w = np.exp(log_w - peak)
+        table = _table_slot(family, a)[0]
+        w = n * math.log(r2)  # log_weight in one buffer, less the table's prefix: no gather
+        w -= (table if len(table) >= size else weight_table(family, a, size))[:size]
+        peak = w.max()
+        if not q > 0.0 or log_tail_bound(w[-2], w[-1], q) < peak + math.log(1e-40):
+            np.exp(np.subtract(w, peak, out=w), out=w)
             w /= w.sum()
             return n, w
         size *= 2
@@ -294,7 +295,8 @@ def rho_k(k: float, x: float) -> float:
     if not 0.0 <= x < math.inf:
         raise DomainError(f"rho_k requires a finite x >= 0, not {x!r}")
     n, p = distribution("bg", k, x * x)
-    rho = x * float(p @ (1.0 / (2.0 * k + n)))
+    n += 2.0 * k  # the window's own buffer, now 2k + n
+    rho = x * float(p.dot(1.0 / n))
     return min(rho, 1.0) if k >= 0.25 else rho
 
 

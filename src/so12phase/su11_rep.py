@@ -159,7 +159,9 @@ def _product(a: dict, b: dict, dim: int) -> dict:
                 d = da + db
                 lo, hi = max(0, -da, -d), min(dim, dim - da, dim - d)  # rows all three bands reach
                 if lo < hi:
-                    acc = _rows(out.setdefault(d, np.zeros(dim - abs(d), dtype=dtype)), d, lo, hi)
+                    if d not in out:
+                        out[d] = np.zeros(dim - abs(d), dtype=dtype)
+                    acc = _rows(out[d], d, lo, hi)
                     acc += _rows(a[da], da, lo, hi) * _rows(vb, db, lo + da, hi + da)
     return out
 

@@ -77,3 +77,21 @@ def test_library_never_imports_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_quadrature_nodes_are_made_once_and_not_at_import():
+    # leggauss(64) cost 1.8 ms on every quadrature call; at import, loading
+    # np.polynomial would add about 20 ms to every process
+    code = textwrap.dedent("""
+        import sys
+        from so12phase import coherent as co, quadrature as quad
+        print("numpy.polynomial" in sys.modules)
+        co.inv_sqrt_k0_expectation(0.75, 30.0)
+        co.inv_sqrt_k0_expectation(0.75, 40.0)
+        import numpy as np
+        print(quad._legendre_nodes.cache_info().misses,
+              [a.tobytes() for a in quad._legendre_nodes()] == [a.tobytes() for a in np.polynomial.legendre.leggauss(64)])
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "1", "True"]

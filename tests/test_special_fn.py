@@ -405,6 +405,29 @@ class TestDistribution:
             bound = sf.log_tail_bound(log_w[-2], log_w[-1], sf.ratio_limit(family, k, r2))
             assert bound < log_w.max() + math.log(1e-40), (family, k, r2)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("k", [0.05, 0.5, 1.0, 20.0, 200.0])
+    def test_window_is_the_gathered_reference_bit_for_bit(self, family, k):
+        # the window is formed from the table's prefix in one buffer; the reference
+        # gathers log_weight at n = 0 ... N - 1 and normalizes exp(log_w - max)
+        r2s = {"bg": (0.0, 0.16, 36.0, 400.0), "perelomov": (0.0, 0.25, 0.99 ** 2), "sg": (0.0, 9.0, 361.0)}
+        # first, a k no other call has used: its table starts empty and grows in the
+        # call, for Perelomov at |lambda| = 0.99 again when the window doubles
+        fresh = k * (1.0 + 2.0 ** -30)
+        if family != "sg":  # the SG table has no 2k
+            assert len(sf._table_slot(family, 2.0 * fresh)[0]) == 0
+        for k_, r2 in [(fresh, r2s[family][-1])] + [(k, r2) for r2 in r2s[family]]:
+            n, p = sf.distribution(family, k_, r2)
+            assert n.tolist() == list(range(len(n)))
+            log_w = sf.log_weight(family, k_, r2, n.astype(int))
+            ref = np.exp(log_w - log_w.max())
+            ref /= ref.sum()
+            assert p.tobytes() == ref.tobytes(), (k_, r2)
+            # the returned arrays are the caller's: writing them changes no later call
+            n[:], p[:] = -1.0, np.nan
+            n2, p2 = sf.distribution(family, k_, r2)
+            assert n2.tolist() == list(range(len(n2))) and p2.tobytes() == ref.tobytes(), (k_, r2)
+
 
 # family API calls that returned a value or nan, raised a bare ValueError,
 # named the wrong cause or cached a NaN table

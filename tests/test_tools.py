@@ -31,3 +31,13 @@ def test_value_diff_of_a_dump_against_itself_moves_nothing(tmp_path, capsys):
     moved.write_text(json.dumps(record))
     same, n_moved, worst, raises = value_diff.diff(str(out), str(moved))["rho_k"]
     assert n_moved == 1 and 0.9e-12 < worst < 1.1e-12 and not raises
+
+
+def test_microbench_times_each_call_in_each_tree(capsys):
+    microbench = _load("microbench")
+    src = str(TOOLS.parent / "src")
+    best = microbench.main(["--src", src, "--src", src, "--rounds", "1", "--calls", "rho_k", "distribution_sg"])
+    assert set(best) == {"rho_k", "distribution_sg"}
+    assert all(len(times) == 2 and all(0.0 < t < 0.01 for t in times) for times in best.values())
+    out = capsys.readouterr().out
+    assert "B/A" in out and "rho_k" in out
